@@ -44,10 +44,7 @@ from .numerics import (
     ToleranceConfig,
     adaptive_integrate,
     gamma_cdf,
-    log_gamma,
     regularized_lower_gamma,
-    sample_gamma,
-    sample_normal,
     std_normal_cdf,
 )
 from .optimizer import (
@@ -65,7 +62,6 @@ from .simulator import (
     simulate_cycle,
 )
 from .system_reliability import (
-    ThresholdVector,
     detection_time_cdf,
     failure_time_cdf,
     reliability_curve,
@@ -92,7 +88,6 @@ __all__ = [
     "SimulationEstimate",
     "SystemModel",
     "TailCapError",
-    "ThresholdVector",
     "ToleranceConfig",
     "TruncationCapError",
     "TruncationConfig",
@@ -108,14 +103,11 @@ __all__ = [
     "expected_inspections",
     "failure_time_cdf",
     "gamma_cdf",
-    "log_gamma",
     "optimize_fixed_tau",
     "optimize_policy",
     "pure_degradation_cdf",
     "regularized_lower_gamma",
     "reliability_curve",
-    "sample_gamma",
-    "sample_normal",
     "series_survival",
     "shock_survival_prob",
     "simulate_cycle",

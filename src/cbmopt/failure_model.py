@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -35,7 +34,6 @@ __all__ = [
     "pure_degradation_cdf",
     "damage_sum_density",
     "threshold_cdf_given_m",
-    "threshold_cdf_over_times",
     "threshold_cdf_block",
     "total_degradation_cdf",
     "event_probabilities",
@@ -197,29 +195,18 @@ def threshold_cdf_given_m(
     """
     if m < 0:
         raise DomainError(f"shock count must be >= 0, got {m}")
+    return float(_cdfs_by_shock_count(c, x, t, int(m), tol)[m])
+
+
+def _cdfs_by_shock_count(
+    c: ComponentParams, x: float, t: float, max_m: int, tol: ToleranceConfig | None
+) -> np.ndarray:
+    """threshold_cdf_given_m at one (x, t) for every m = 0..max_m."""
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"x must be finite and >= 0, got {x}")
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    return _threshold_cdf_cached(c, float(x), float(t), int(m), tol or DEFAULT_TOL)
-
-
-@lru_cache(maxsize=1 << 18)
-def _threshold_cdf_cached(
-    c: ComponentParams, x: float, t: float, m: int, tol: ToleranceConfig
-) -> float:
-    return float(threshold_cdf_block(c, x, np.array([t]), m, tol)[m, 0])
-
-
-def threshold_cdf_over_times(
-    c: ComponentParams,
-    x: float,
-    times: np.ndarray,
-    m: int,
-    tol: ToleranceConfig | None = None,
-) -> np.ndarray:
-    """threshold_cdf_given_m evaluated at many times in one batched call."""
-    return threshold_cdf_block(c, x, times, m, tol)[m]
+    return threshold_cdf_block(c, float(x), np.array([float(t)]), max_m, tol)[:, 0]
 
 
 def threshold_cdf_block(
@@ -242,8 +229,10 @@ def threshold_cdf_block(
     tol = tol or DEFAULT_TOL
     t = np.asarray(times, dtype=float)
     out = np.empty((max_m + 1, t.size))
-    at_zero = t == 0.0
-    # wear-only row: the degenerate shape at t = 0 is the point mass at zero
+    # no wear yet where the wear shape alpha * t is zero, which includes
+    # subnormal times whose product with alpha underflows
+    at_zero = c.alpha * t == 0.0
+    # wear-only row: the degenerate shape is the point mass at zero
     out[0, at_zero] = 1.0
     out[0, ~at_zero] = np.clip(
         special.gammainc(c.alpha * t[~at_zero], c.beta * x), 0.0, 1.0
@@ -311,9 +300,8 @@ def total_degradation_cdf(
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"shock rate must be finite and >= 0, got {lam}")
     weights = poisson_weights(lam * t, trunc)
-    total = sum(
-        w * threshold_cdf_given_m(c, x, t, m, tol) for m, w in enumerate(weights)
-    )
+    below = _cdfs_by_shock_count(c, x, t, len(weights) - 1, tol)
+    total = float(np.dot(weights, below))
     return min(max(total, 0.0), 1.0)
 
 
@@ -338,16 +326,13 @@ def event_probabilities(
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"shock rate must be finite and >= 0, got {lam}")
     weights = poisson_weights(lam * t, trunc)
-    survive = shock_survival_prob(c)
-    p_safe = 0.0
-    p_warn = 0.0
-    survive_m = 1.0
-    for m, w in enumerate(weights):
-        below_h2 = threshold_cdf_given_m(c, h2, t, m, tol)
-        below_h1 = threshold_cdf_given_m(c, c.h1, t, m, tol)
-        p_safe += w * survive_m * below_h2
-        p_warn += w * survive_m * max(below_h1 - below_h2, 0.0)
-        survive_m *= survive
+    max_m = len(weights) - 1
+    # the m-th term also needs all m shocks survived
+    alive = np.array(weights) * shock_survival_prob(c) ** np.arange(max_m + 1)
+    below_h2 = _cdfs_by_shock_count(c, h2, t, max_m, tol)
+    below_h1 = _cdfs_by_shock_count(c, c.h1, t, max_m, tol)
+    p_safe = float(np.dot(alive, below_h2))
+    p_warn = float(np.dot(alive, np.maximum(below_h1 - below_h2, 0.0)))
     p_safe = min(max(p_safe, 0.0), 1.0)
     p_warn = min(max(p_warn, 0.0), 1.0 - p_safe)
     return p_safe, p_warn, 1.0 - p_safe - p_warn

@@ -19,19 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, TailCapError
 from .failure_model import SystemModel, TruncationConfig
 from .numerics import ToleranceConfig, adaptive_integrate
-from .system_reliability import (
-    ThresholdVector,
-    as_thresholds,
-    series_survival,
-    series_survival_over_times,
-)
+from .system_reliability import as_thresholds, series_survival_over_times
 
 __all__ = [
     "CostParams",
@@ -42,10 +36,7 @@ __all__ = [
     "expected_downtime",
     "expected_cycle_length",
     "cost_rate",
-    "DOWNTIME_MODES",
 ]
-
-DOWNTIME_MODES = ("paper", "pathwise-mc-reference")
 
 # the downtime expectation is consumed at Monte Carlo noise scales, so its
 # time integral and the CDF evaluations inside it can run several digits
@@ -78,8 +69,7 @@ class Policy:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise DomainError(f"tau must be finite and positive, got {self.tau}")
-        values = self.h2.values if isinstance(self.h2, ThresholdVector) else self.h2
-        object.__setattr__(self, "h2", tuple(float(v) for v in values))
+        object.__setattr__(self, "h2", tuple(float(v) for v in self.h2))
         for i, v in enumerate(self.h2):
             if not (math.isfinite(v) and v >= 0.0):
                 raise DomainError(f"h2[{i}] must be finite and >= 0, got {v}")
@@ -120,15 +110,18 @@ def validate_policy(model: SystemModel, policy: Policy) -> tuple[float, ...]:
 
 def _cdf_ladder(
     model: SystemModel,
-    tau: float,
-    thresholds: tuple[float, ...],
+    policy: Policy,
     trunc: TruncationConfig | None,
-    tail: SeriesTailConfig,
+    tail: SeriesTailConfig | None,
     tol: ToleranceConfig | None,
 ) -> list[float]:
-    """First-passage CDF sampled at 0, tau, 2*tau, ... until its tail drops
-    below the cutoff; raises TailCapError if that never happens within the
-    cap. Evaluated in batches of inspection epochs."""
+    """Validate the policy and sample its detection-time CDF at 0, tau,
+    2*tau, ... until the tail drops below the cutoff; raises TailCapError
+    if that never happens within the cap. Evaluated in batches of
+    inspection epochs."""
+    thresholds = validate_policy(model, policy)
+    tau = policy.tau
+    tail = tail or DEFAULT_TAIL
     ladder = [0.0]
     k = 0
     batch = 8
@@ -165,9 +158,7 @@ def expected_inspections(
     tol: ToleranceConfig | None = None,
 ) -> float:
     """Expected number of inspections in one renewal cycle."""
-    h2 = validate_policy(model, policy)
-    ladder = _cdf_ladder(model, policy.tau, h2, trunc, tail or DEFAULT_TAIL, tol)
-    return _inspections_from_ladder(ladder)
+    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail, tol))
 
 
 def expected_cycle_length(
@@ -240,33 +231,13 @@ def _weighted_downtime_sum(
     return max(area - tau * boundary, 0.0)
 
 
-def expected_downtime(
+def _downtime_from_ladder(
     model: SystemModel,
-    policy: Policy,
-    trunc: TruncationConfig | None = None,
-    tail: SeriesTailConfig | None = None,
-    tol: ToleranceConfig | None = None,
-    mode: str = "paper",
-    sim_config=None,
+    tau: float,
+    ladder: list[float],
+    trunc: TruncationConfig | None,
+    tol: ToleranceConfig | None,
 ) -> float:
-    """Expected downtime per cycle.
-
-    mode="paper" evaluates the literal closed-form expression (see the
-    module docstring for its caveat). mode="pathwise-mc-reference" runs the
-    cycle simulator and returns the mean observed downtime; it requires a
-    simulation config and exists for comparison reporting.
-    """
-    if mode not in DOWNTIME_MODES:
-        raise DomainError(f"mode must be one of {DOWNTIME_MODES}, got {mode!r}")
-    if mode == "pathwise-mc-reference":
-        from .simulator import SimulationConfig, simulate_many
-
-        outcomes = simulate_many(model, policy, sim_config or SimulationConfig())
-        return float(np.mean([o.downtime for o in outcomes]))
-
-    tail = tail or DEFAULT_TAIL
-    h2 = validate_policy(model, policy)
-    ladder = _cdf_ladder(model, policy.tau, h2, trunc, tail, tol)
     h1 = model.h1_vector
     kmax = len(ladder) - 1
     # detection-mass weights per interval, residual tail on the last one
@@ -274,11 +245,24 @@ def expected_downtime(
     weights[-1] += 1.0 - ladder[-1]
     weights = np.maximum(weights, 0.0)
     # failure CDF at every inspection epoch of the ladder, in one batch
-    epochs = np.array([k * policy.tau for k in range(1, kmax + 1)])
+    epochs = np.array([k * tau for k in range(1, kmax + 1)])
     f1_at = np.concatenate(
         [[0.0], 1.0 - series_survival_over_times(model, epochs, h1, trunc, tol)]
     )
-    return _weighted_downtime_sum(model, policy.tau, weights, f1_at, trunc, tol)
+    return _weighted_downtime_sum(model, tau, weights, f1_at, trunc, tol)
+
+
+def expected_downtime(
+    model: SystemModel,
+    policy: Policy,
+    trunc: TruncationConfig | None = None,
+    tail: SeriesTailConfig | None = None,
+    tol: ToleranceConfig | None = None,
+) -> float:
+    """Expected downtime per cycle from the literal closed-form expression
+    (see the module docstring for its caveat)."""
+    ladder = _cdf_ladder(model, policy, trunc, tail, tol)
+    return _downtime_from_ladder(model, policy.tau, ladder, trunc, tol)
 
 
 def cost_rate(
@@ -289,10 +273,12 @@ def cost_rate(
     tail: SeriesTailConfig | None = None,
     tol: ToleranceConfig | None = None,
 ) -> CostBreakdown:
-    """Long-run maintenance cost per hour with its per-cycle breakdown."""
-    tail = tail or DEFAULT_TAIL
-    e_ni = expected_inspections(model, policy, trunc, tail, tol)
-    e_rho = expected_downtime(model, policy, trunc, tail, tol, mode="paper")
+    """Long-run maintenance cost per hour with its per-cycle breakdown.
+
+    E[N_I] and E[rho] share one detection-CDF ladder."""
+    ladder = _cdf_ladder(model, policy, trunc, tail, tol)
+    e_ni = _inspections_from_ladder(ladder)
+    e_rho = _downtime_from_ladder(model, policy.tau, ladder, trunc, tol)
     e_k = policy.tau * e_ni
     e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
     return CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k)

@@ -1,14 +1,12 @@
-"""Special functions, adaptive quadrature, and random-variate primitives.
+"""Special functions and adaptive quadrature.
 
-Everything here is deterministic given its inputs; random draws are
-deterministic given the caller-owned generator state. The gamma
-distribution is parameterized by (shape, rate) throughout: the mean of a
-gamma(shape, rate) variate is shape/rate.
+Everything here is deterministic given its inputs. The gamma distribution
+is parameterized by (shape, rate) throughout: the mean of a gamma(shape,
+rate) variate is shape/rate.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,13 +18,10 @@ from .errors import DomainError, IntegrationError
 
 __all__ = [
     "ToleranceConfig",
-    "log_gamma",
     "regularized_lower_gamma",
     "gamma_cdf",
     "std_normal_cdf",
     "adaptive_integrate",
-    "sample_gamma",
-    "sample_normal",
 ]
 
 
@@ -46,13 +41,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def regularized_lower_gamma(shape: float, x: float) -> float:
@@ -139,51 +127,6 @@ _GK_WEIGHTS_G[1::2] = [
 ]
 
 
-def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod rule on a batch of intervals with one integrand call.
-
-    Returns per-interval (integral, error estimate). The error heuristic
-    trusts the Gauss/Kronrod difference only when the integrand is smooth
-    relative to its own variation on the interval.
-    """
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = center[:, None] + half[:, None] * _GK_NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float)
-    if y.shape != (x.size,):
-        # tolerate scalar-only integrands
-        y = np.array([float(f(xi)) for xi in x.ravel()])
-    if not np.all(np.isfinite(y)):
-        raise IntegrationError("integrand returned a non-finite value")
-    y = y.reshape(x.shape)
-    resk = half * (y @ _GK_WEIGHTS_K)
-    resg = half * (y @ _GK_WEIGHTS_G)
-    mean = resk / (hi - lo)
-    resasc = half * (np.abs(y - mean[:, None]) @ _GK_WEIGHTS_K)
-    diff = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
-    err = np.where((resasc > 0.0) & (diff > 0.0), scaled, diff)
-    return resk, err
-
-
-def _refine(lo, hi, vals, errs, pick):
-    """Split the picked intervals in half, keeping the rest."""
-    keep = np.ones(lo.size, dtype=bool)
-    keep[pick] = False
-    mid = 0.5 * (lo[pick] + hi[pick])
-    # intervals already at floating point resolution cannot improve
-    splittable = (mid > lo[pick]) & (mid < hi[pick])
-    stuck = pick[~splittable]
-    errs = errs.copy()
-    errs[stuck] = 0.0
-    keep[stuck] = True
-    pick = pick[splittable]
-    new_lo = np.concatenate([lo[keep], lo[pick], mid[splittable]])
-    new_hi = np.concatenate([hi[keep], mid[splittable], hi[pick]])
-    return new_lo, new_hi, keep, pick, errs
-
-
 def _initial_mesh(a: float, b: float, breakpoints) -> tuple[np.ndarray, np.ndarray]:
     if not breakpoints:
         return np.array([a]), np.array([b])
@@ -202,54 +145,18 @@ def adaptive_integrate(
     """Integrate f over [a, b] with adaptive Gauss-Kronrod bisection.
 
     The integrand is called with a flat numpy array of nodes (possibly from
-    several intervals at once) and should return an array of the same
-    shape; scalar-only callables are accepted but slower. Endpoints are
+    several intervals at once) and must return an array of the same shape;
+    it runs on adaptive_integrate_vector with one component. Endpoints are
     never evaluated, so integrable endpoint singularities are allowed.
     Optional breakpoints seed the initial mesh where the integrand is known
     to be rough. Returns (value, error estimate) and raises
     IntegrationError if the subdivision budget runs out before the
     requested tolerance is met.
     """
-    tol = tol or DEFAULT_TOL
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration bounds must be finite")
-    if a > b:
-        raise DomainError(f"requires a <= b, got a={a}, b={b}")
-    if a == b:
-        return 0.0, 0.0
-
-    lo, hi = _initial_mesh(a, b, breakpoints)
-    vals, errs = _eval_panels(f, lo, hi)
-    budget = tol.max_subdivisions
-    while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        bound = max(tol.abs_tol, tol.rel_tol * abs(total))
-        if total_err <= bound:
-            return total, total_err
-        if budget <= 0:
-            raise IntegrationError(
-                f"tolerance not met after {tol.max_subdivisions} subdivisions: "
-                f"estimate {total!r} with error {total_err!r}"
-            )
-        # refine every interval whose error exceeds its fair share of the
-        # budget; wide fronts cost little because evaluations are batched
-        pick = np.flatnonzero(errs >= bound / (2.0 * errs.size))
-        pick = pick[np.argsort(errs[pick])[::-1][:budget]]
-        lo, hi, keep, picked, errs = _refine(lo, hi, vals, errs, pick)
-        if picked.size == 0:
-            # nothing splittable remains; accept the current estimate
-            total_err = float(errs.sum())
-            if total_err <= bound:
-                return float(vals.sum()), total_err
-            raise IntegrationError(
-                "interval refinement reached floating point resolution "
-                f"with error {total_err!r}"
-            )
-        budget -= picked.size
-        new_vals, new_errs = _eval_panels(f, lo[keep.sum():], hi[keep.sum():])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+    values, errors = adaptive_integrate_vector(
+        lambda x: np.reshape(f(x), (1, -1)), a, b, 1, tol, breakpoints
+    )
+    return float(values[0]), float(errors[0])
 
 
 def adaptive_integrate_vector(
@@ -277,7 +184,7 @@ def adaptive_integrate_vector(
         return np.zeros(n_out), np.zeros(n_out)
 
     lo, hi = _initial_mesh(a, b, breakpoints)
-    vals, errs = _eval_panels_vector(f, lo, hi, n_out)  # (P, n_out) each
+    vals, errs = _eval_panels(f, lo, hi, n_out)  # (P, n_out) each
     budget = tol.max_subdivisions
     while True:
         totals = vals.sum(axis=0)
@@ -290,12 +197,15 @@ def adaptive_integrate_vector(
                 f"tolerance not met after {tol.max_subdivisions} subdivisions "
                 f"for {int(np.sum(total_errs > bounds))} of {n_out} components"
             )
+        # refine every interval whose error exceeds its fair share of the
+        # budget; wide fronts cost little because evaluations are batched
         score = (errs / bounds[None, :]).max(axis=1)
         pick = np.flatnonzero(score >= 1.0 / (2.0 * score.size))
         pick = pick[np.argsort(score[pick])[::-1][:budget]]
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         mid = 0.5 * (lo[pick] + hi[pick])
+        # intervals already at floating point resolution cannot improve
         splittable = (mid > lo[pick]) & (mid < hi[pick])
         stuck = pick[~splittable]
         errs[stuck, :] = 0.0
@@ -312,15 +222,20 @@ def adaptive_integrate_vector(
         new_lo = np.concatenate([lo[pick], mid])
         new_hi = np.concatenate([mid, hi[pick]])
         budget -= pick.size
-        new_vals, new_errs = _eval_panels_vector(f, new_lo, new_hi, n_out)
+        new_vals, new_errs = _eval_panels(f, new_lo, new_hi, n_out)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
 
 
-def _eval_panels_vector(f: Callable, lo, hi, n_out):
-    """Kronrod rule for a vector-valued integrand on a batch of intervals."""
+def _eval_panels(f: Callable, lo, hi, n_out):
+    """Kronrod rule for a vector-valued integrand on a batch of intervals.
+
+    Returns per-interval (integral, error estimate). The error heuristic
+    trusts the Gauss/Kronrod difference only when the integrand is smooth
+    relative to its own variation on the interval.
+    """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = center[:, None] + half[:, None] * _GK_NODES[None, :]
@@ -341,19 +256,3 @@ def _eval_panels_vector(f: Callable, lo, hi, n_out):
         scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (diff > 0.0), scaled, diff)
     return resk.T, err.T  # (P, n_out)
-
-
-def sample_gamma(shape: float, rate: float, rng: np.random.Generator) -> float:
-    """One gamma(shape, rate) draw from the caller's generator."""
-    if shape <= 0.0 or not math.isfinite(shape):
-        raise DomainError(f"shape must be positive, got {shape}")
-    if rate <= 0.0 or not math.isfinite(rate):
-        raise DomainError(f"rate must be positive, got {rate}")
-    return float(rng.gamma(shape, 1.0 / rate))
-
-
-def sample_normal(mu: float, sigma: float, rng: np.random.Generator) -> float:
-    """One normal(mu, sigma^2) draw from the caller's generator."""
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return float(rng.normal(mu, sigma))

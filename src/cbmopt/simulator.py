@@ -356,8 +356,7 @@ def _first_passage_block(
                 reps = quiet[hit]
                 cross[reps] = np.minimum(cross[reps], tb)
         # rare shocked paths fall back to the exact scalar advance
-        for offset, rep in enumerate(shocked):
-            count = int(shock_counts[shock_counts > 0][offset])
+        for rep, count in zip(shocked, shock_counts[shock_counts > 0].tolist()):
             times = np.sort(rng.uniform(a, b, size=count)).tolist()
             rep_levels = [float(levels[i, rep]) for i in range(model.n)]
             t_cross, _ = _advance_between(

@@ -11,7 +11,6 @@ shock-count sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from .failure_model import (
 from .numerics import ToleranceConfig
 
 __all__ = [
-    "ThresholdVector",
     "series_survival",
     "series_survival_over_times",
     "failure_time_cdf",
@@ -36,27 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
-    """Per-component degradation thresholds, one value per component."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-
 def as_thresholds(model: SystemModel, thresholds) -> tuple[float, ...]:
     """Coerce and validate a threshold vector against a system model."""
-    values = thresholds.values if isinstance(thresholds, ThresholdVector) else tuple(
-        float(v) for v in thresholds
-    )
+    values = tuple(float(v) for v in thresholds)
     if len(values) != model.n:
         raise DomainError(
             f"threshold vector has length {len(values)}, system has {model.n} components"
@@ -70,7 +50,7 @@ def as_thresholds(model: SystemModel, thresholds) -> tuple[float, ...]:
 def series_survival(
     model: SystemModel,
     t: float,
-    thresholds: Sequence[float] | ThresholdVector,
+    thresholds: Sequence[float],
     trunc: TruncationConfig | None = None,
     tol: ToleranceConfig | None = None,
 ) -> float:
@@ -84,7 +64,7 @@ def series_survival(
 def series_survival_over_times(
     model: SystemModel,
     times,
-    thresholds: Sequence[float] | ThresholdVector,
+    thresholds: Sequence[float],
     trunc: TruncationConfig | None = None,
     tol: ToleranceConfig | None = None,
 ) -> np.ndarray:
@@ -128,7 +108,7 @@ def failure_time_cdf(
 def detection_time_cdf(
     model: SystemModel,
     t: float,
-    h2: Sequence[float] | ThresholdVector,
+    h2: Sequence[float],
     trunc: TruncationConfig | None = None,
     tol: ToleranceConfig | None = None,
 ) -> float:
@@ -140,14 +120,13 @@ def detection_time_cdf(
 def reliability_curve(
     model: SystemModel,
     t_grid: Sequence[float],
-    thresholds: Sequence[float] | ThresholdVector,
+    thresholds: Sequence[float],
     trunc: TruncationConfig | None = None,
     tol: ToleranceConfig | None = None,
 ) -> list[tuple[float, float]]:
     """Pointwise survival along a nondecreasing time grid."""
-    previous = None
-    for t in t_grid:
-        if previous is not None and t < previous:
-            raise DomainError("t_grid must be nondecreasing")
-        previous = t
-    return [(float(t), series_survival(model, t, thresholds, trunc, tol)) for t in t_grid]
+    grid = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(grid) < 0.0):
+        raise DomainError("t_grid must be nondecreasing")
+    survival = series_survival_over_times(model, grid, thresholds, trunc, tol)
+    return [(float(t), float(s)) for t, s in zip(grid, survival)]

@@ -1,6 +1,7 @@
 """Shared fixtures: benchmark parameter sets and random test-system factories."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,3 +73,18 @@ def random_system(rng: np.random.Generator, n: int) -> SystemModel:
 @pytest.fixture
 def bench_system() -> SystemModel:
     return table2_system()
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--report-dir",
+        default=None,
+        help="directory for the acceptance reports (pass reports to regenerate "
+        "the committed ones); a temporary directory by default",
+    )
+
+
+@pytest.fixture
+def report_dir(request, tmp_path) -> Path:
+    chosen = request.config.getoption("--report-dir")
+    return Path(chosen) if chosen else tmp_path

@@ -1,7 +1,9 @@
 """Acceptance suite. One test per criterion; each prints a PASS line.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines
-and the benchmark comparison table. Criteria:
+and the benchmark comparison table. Criteria 3 and 5 write JSON reports to
+a temporary directory; add `--report-dir reports` to regenerate the
+committed ones. Criteria:
 
 1. property suite on randomized systems plus high-precision oracle grids
 2. analytic/Monte Carlo equivalence where the cost formula is unambiguous
@@ -19,7 +21,6 @@ a written discrepancy report rather than numeric agreement (see README).
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,6 @@ from cbmopt.system_reliability import (
 
 from conftest import random_component, random_system, table2_system, table3_system
 
-REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 BENCH_COSTS = CostParams(c_i=1.0, c_rho=20000.0, c_r=100.0)
 
 
@@ -73,9 +73,9 @@ def tau_at_quantile(model, q):
     return hi
 
 
-def _write_report(name, payload):
-    REPORT_DIR.mkdir(exist_ok=True)
-    path = REPORT_DIR / name
+def _write_report(report_dir, name, payload):
+    report_dir.mkdir(parents=True, exist_ok=True)
+    path = report_dir / name
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, default=float)
     return path
@@ -203,7 +203,7 @@ def test_criterion_2_oracle_equivalence():
     print(f"  first-passage KS distance at 1e6 paths: {ks:.5f} (< 0.01)")
 
 
-def test_criterion_3_benchmark_reproduction_attempt():
+def test_criterion_3_benchmark_reproduction_attempt(report_dir):
     started = time.time()
     config = OptimizerConfig(
         multistart_count=4, max_iterations=120, x_tol=1e-4, f_tol=1e-9,
@@ -312,7 +312,7 @@ def test_criterion_3_benchmark_reproduction_attempt():
             "oracle-equivalence criteria instead."
         ),
     }
-    path = _write_report("paper_reproduction.json", payload)
+    path = _write_report(report_dir, "paper_reproduction.json", payload)
 
     elapsed = time.time() - started
     status = "REPRODUCED" if all_within else "NOT REPRODUCED (documented)"
@@ -374,7 +374,7 @@ def test_criterion_4_optimizer_sanity():
     print(f"  recovered tau = {best.tau:.6f} (target 50), h = {best.h2[0]:.8g} (target {h_target:.8g})")
 
 
-def test_criterion_5_downtime_formula_audit():
+def test_criterion_5_downtime_formula_audit(report_dir):
     started = time.time()
     rows = []
     for seed in [201, 202, 203]:
@@ -406,6 +406,7 @@ def test_criterion_5_downtime_formula_audit():
         )
 
     path = _write_report(
+        report_dir,
         "downtime_audit.json",
         {
             "systems": rows,

@@ -9,6 +9,7 @@ import pytest
 
 from cbmopt.cli import main, parse_config
 from cbmopt.errors import ConfigError
+from cbmopt.simulator import SimulationConfig
 from cbmopt.system_reliability import series_survival_over_times
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -113,7 +114,8 @@ class TestParseConfig:
         assert config.truncation.poisson_tail_eps == 1e-12
         assert config.tail.k_tail_eps == 1e-9
         assert config.optimizer.multistart_count == 16
-        assert config.simulation.replications == 100_000
+        assert config.simulation is None
+        assert SimulationConfig().replications == 100_000
 
 
 class TestReliabilityCommand:
@@ -165,6 +167,8 @@ class TestEvaluateCommand:
         assert outputs["breakdown"]["cr"] > 0
         assert "simulation" in outputs
         assert "downtime_gap" in outputs and "downtime_gap_stderr" in outputs
+        # h2 < h1: the closed form undercounts by more than 3 stderr
+        assert any(w.startswith("downtime gap") for w in report["warnings"])
         assert report["version"]
         for value in outputs["breakdown"].values():
             assert math.isfinite(value)
@@ -177,6 +181,21 @@ class TestEvaluateCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["outputs"]["breakdown"]["cr"] == 0.0
+        # no simulation section, no cross-check
+        assert report["config"]["simulation"] is None
+        assert "simulation" not in report["outputs"]
+
+    def test_late_detection_gap_is_not_flagged(self, tmp_path):
+        # the simulated downtime reads low by less than one sub-step
+        # (tau/1024 = 0.0234 h), which covers this config's 0.013 h gap
+        out = tmp_path / "eval.json"
+        code = main(["evaluate", "--config", str(CONFIG_DIR / "table2_tau24.json"),
+                     "--out", str(out)])
+        assert code == 0
+        report = load_json(out)
+        gap = report["outputs"]["downtime_gap"]
+        assert 3.0 * report["outputs"]["downtime_gap_stderr"] < gap < 24.0 / 1024.0
+        assert report["warnings"] == []
 
     def test_missing_policy_rejected(self, tmp_path):
         payload = small_config()

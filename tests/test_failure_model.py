@@ -179,9 +179,12 @@ class TestThresholdCdfGivenM:
         assert analytic < 3.0 / n
 
     def test_no_wear_at_time_zero(self):
-        val = threshold_cdf_given_m(SANE, 2.0, 0.0, 2)
         expected = regularized_lower_gamma(2 * SANE.y_alpha, SANE.y_beta * 2.0)
-        assert val == pytest.approx(expected, rel=1e-12)
+        # the smallest subnormal time leaves a wear shape of exactly zero
+        for t in (0.0, 5e-324):
+            val = threshold_cdf_given_m(SANE, 2.0, t, 2)
+            assert val == pytest.approx(expected, rel=1e-12)
+            assert threshold_cdf_given_m(SANE, 0.0, t, 0) == 1.0
 
     def test_nonincreasing_in_jump_count(self):
         vals = [threshold_cdf_given_m(SANE, 6.0, 4.0, m) for m in range(6)]

@@ -23,10 +23,10 @@ from cbmopt.maintenance_policy import (
     expected_downtime,
     expected_inspections,
 )
-from cbmopt.simulator import SimulationConfig, estimate_cost_rate
+from cbmopt.simulator import SimulationConfig, simulate_many
 from cbmopt.system_reliability import failure_time_cdf
 
-from conftest import random_system
+from conftest import random_system, table2_system
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +88,6 @@ class TestExpectedInspections:
         assert loose == pytest.approx(tight, abs=1e-4)
 
     def test_monte_carlo_agreement(self, model):
-        from cbmopt.simulator import simulate_many
-
         policy = Policy(tau=4.0, h2=tuple(0.6 * c.h1 for c in model.components))
         analytic = expected_inspections(model, policy)
         outcomes = simulate_many(
@@ -164,19 +162,12 @@ class TestExpectedDowntime:
         tau = tau_at_quantile(model, 1.0 - 1e-4)
         policy = Policy(tau=tau, h2=model.h1_vector)
         rho = expected_downtime(model, policy)
-        mc = expected_downtime(
-            model,
-            policy,
-            mode="pathwise-mc-reference",
-            sim_config=SimulationConfig(replications=20_000, seed=99),
+        outcomes = simulate_many(
+            model, policy, SimulationConfig(replications=20_000, seed=99)
         )
+        mc = float(np.mean([o.downtime for o in outcomes]))
         # binomial-ish bound on the downtime mean spread
         assert rho == pytest.approx(mc, rel=0.02)
-
-    def test_mode_validation(self, model):
-        policy = Policy(tau=5.0, h2=model.h1_vector)
-        with pytest.raises(DomainError):
-            expected_downtime(model, policy, mode="guess")
 
 
 class TestCostRate:
@@ -206,3 +197,19 @@ class TestCostRate:
     def test_zero_costs_zero_rate(self, model):
         policy = Policy(tau=5.0, h2=tuple(0.7 * c.h1 for c in model.components))
         assert cost_rate(model, policy, CostParams(0.0, 0.0, 0.0)).cr == 0.0
+
+    def test_shared_ladder_matches_public_views(self):
+        # cost_rate builds the detection ladder once for both expectations;
+        # the standalone functions must give the same floats
+        rng = np.random.default_rng(77)
+        bench = table2_system()
+        cases = [
+            (bench, Policy(tau=0.0082, h2=tuple(0.5 * c.h1 for c in bench.components))),
+        ]
+        for n in (2, 3):
+            system = random_system(rng, n)
+            cases.append((system, Policy(tau=4.0, h2=tuple(0.6 * c.h1 for c in system.components))))
+        for system, policy in cases:
+            b = cost_rate(system, policy, CostParams(1.0, 300.0, 80.0))
+            assert b.e_ni == expected_inspections(system, policy)
+            assert b.e_rho == expected_downtime(system, policy)

@@ -12,7 +12,6 @@ from cbmopt.failure_model import (
     threshold_cdf_given_m,
 )
 from cbmopt.system_reliability import (
-    ThresholdVector,
     as_thresholds,
     detection_time_cdf,
     failure_time_cdf,
@@ -41,8 +40,8 @@ class TestThresholdValidation:
             as_thresholds(sane_system, bad)
 
     def test_vector_type_round_trip(self, sane_system):
-        vec = ThresholdVector(tuple(c.h1 for c in sane_system.components))
-        assert as_thresholds(sane_system, vec) == vec.values
+        values = tuple(c.h1 for c in sane_system.components)
+        assert as_thresholds(sane_system, np.array(values)) == values
 
 
 class TestSeriesSurvival:
