@@ -14,7 +14,7 @@ class IntegrationError(CbmError, ArithmeticError):
 
 
 class TruncationCapError(CbmError, ArithmeticError):
-    """The shock-count series hit its term cap before the tail bound was met."""
+    """A shock-count or gamma-mixture series hit its term cap before its tail bound was met."""
 
 
 class TailCapError(CbmError, ArithmeticError):

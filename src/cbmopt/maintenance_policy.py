@@ -39,10 +39,9 @@ __all__ = [
 ]
 
 # the downtime expectation is consumed at Monte Carlo noise scales, so its
-# time integral and the CDF evaluations inside it can run several digits
-# looser than the library-wide quadrature default
+# time integral can run a digit looser than the library-wide quadrature
+# default
 _TIME_INTEGRAL_TOL = ToleranceConfig(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=60)
-_RHO_CDF_TOL = ToleranceConfig(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=200)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,6 @@ def _cdf_ladder(
     policy: Policy,
     trunc: TruncationConfig | None,
     tail: SeriesTailConfig | None,
-    tol: ToleranceConfig | None,
 ) -> list[float]:
     """Validate the policy and sample its detection-time CDF at 0, tau,
     2*tau, ... until the tail drops below the cutoff; raises TailCapError
@@ -133,7 +131,7 @@ def _cdf_ladder(
             )
         ks = range(k + 1, min(k + batch, tail.k_max_cap) + 1)
         times = np.array([j * tau for j in ks])
-        values = 1.0 - series_survival_over_times(model, times, thresholds, trunc, tol)
+        values = 1.0 - series_survival_over_times(model, times, thresholds, trunc)
         for f_k in values:
             k += 1
             ladder.append(float(f_k))
@@ -155,10 +153,9 @@ def expected_inspections(
     policy: Policy,
     trunc: TruncationConfig | None = None,
     tail: SeriesTailConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> float:
     """Expected number of inspections in one renewal cycle."""
-    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail, tol))
+    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail))
 
 
 def expected_cycle_length(
@@ -166,10 +163,9 @@ def expected_cycle_length(
     policy: Policy,
     trunc: TruncationConfig | None = None,
     tail: SeriesTailConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> float:
     """Expected time between replacements: tau times the inspection count."""
-    return policy.tau * expected_inspections(model, policy, trunc, tail, tol)
+    return policy.tau * expected_inspections(model, policy, trunc, tail)
 
 
 def _weighted_downtime_sum(
@@ -178,7 +174,6 @@ def _weighted_downtime_sum(
     weights: np.ndarray,
     f1_at: np.ndarray,
     trunc: TruncationConfig | None,
-    tol: ToleranceConfig | None,
 ) -> float:
     """Sum over inspection intervals of weight_k times the Stieltjes
     integral of (k*tau - t) against the failure-time CDF.
@@ -192,7 +187,6 @@ def _weighted_downtime_sum(
     the CDF barely rises are provably negligible and are clipped off.
     """
     kmax = len(weights)
-    inner_tol = tol or _RHO_CDF_TOL
     h1 = model.h1_vector
     rises = np.diff(f1_at)
     significant = np.flatnonzero(weights * tau * rises >= 1e-13 * tau)
@@ -203,7 +197,7 @@ def _weighted_downtime_sum(
 
     def weighted_cdf(ts):
         ts = np.asarray(ts, dtype=float)
-        cdf = 1.0 - series_survival_over_times(model, ts, h1, trunc, inner_tol)
+        cdf = 1.0 - series_survival_over_times(model, ts, h1, trunc)
         k_of_t = np.minimum((ts / tau).astype(int), kmax - 1)
         return weights[k_of_t] * cdf
 
@@ -220,7 +214,7 @@ def _weighted_downtime_sum(
             # the CDF may rise in a thin layer far below the first epoch;
             # one probe decides whether to grade the mesh toward zero
             probe = 1.0 - series_survival_over_times(
-                model, np.array([tau / 128.0]), h1, trunc, inner_tol
+                model, np.array([tau / 128.0]), h1, trunc
             )
             if float(probe[0]) > 0.99:
                 mesh = [tau * 0.5**j for j in range(7, 28)] + mesh
@@ -236,7 +230,6 @@ def _downtime_from_ladder(
     tau: float,
     ladder: list[float],
     trunc: TruncationConfig | None,
-    tol: ToleranceConfig | None,
 ) -> float:
     h1 = model.h1_vector
     kmax = len(ladder) - 1
@@ -247,9 +240,9 @@ def _downtime_from_ladder(
     # failure CDF at every inspection epoch of the ladder, in one batch
     epochs = np.array([k * tau for k in range(1, kmax + 1)])
     f1_at = np.concatenate(
-        [[0.0], 1.0 - series_survival_over_times(model, epochs, h1, trunc, tol)]
+        [[0.0], 1.0 - series_survival_over_times(model, epochs, h1, trunc)]
     )
-    return _weighted_downtime_sum(model, tau, weights, f1_at, trunc, tol)
+    return _weighted_downtime_sum(model, tau, weights, f1_at, trunc)
 
 
 def expected_downtime(
@@ -257,12 +250,11 @@ def expected_downtime(
     policy: Policy,
     trunc: TruncationConfig | None = None,
     tail: SeriesTailConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> float:
     """Expected downtime per cycle from the literal closed-form expression
     (see the module docstring for its caveat)."""
-    ladder = _cdf_ladder(model, policy, trunc, tail, tol)
-    return _downtime_from_ladder(model, policy.tau, ladder, trunc, tol)
+    ladder = _cdf_ladder(model, policy, trunc, tail)
+    return _downtime_from_ladder(model, policy.tau, ladder, trunc)
 
 
 def cost_rate(
@@ -271,14 +263,13 @@ def cost_rate(
     costs: CostParams,
     trunc: TruncationConfig | None = None,
     tail: SeriesTailConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> CostBreakdown:
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
     E[N_I] and E[rho] share one detection-CDF ladder."""
-    ladder = _cdf_ladder(model, policy, trunc, tail, tol)
+    ladder = _cdf_ladder(model, policy, trunc, tail)
     e_ni = _inspections_from_ladder(ladder)
-    e_rho = _downtime_from_ladder(model, policy.tau, ladder, trunc, tol)
+    e_rho = _downtime_from_ladder(model, policy.tau, ladder, trunc)
     e_k = policy.tau * e_ni
     e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
     return CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k)

@@ -20,6 +20,7 @@ __all__ = [
     "ToleranceConfig",
     "regularized_lower_gamma",
     "gamma_cdf",
+    "negligible_shape",
     "std_normal_cdf",
     "adaptive_integrate",
 ]
@@ -52,10 +53,20 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
     return float(special.gammainc(shape, x))
 
 
+def negligible_shape(shape):
+    """True where a gamma shape (a float or an array) is zero or subnormal.
+
+    The gamma law is then the point mass at zero to double precision, but
+    scipy's gammainc returns 0 at subnormal shapes for arguments below
+    about 1, so callers take the CDF as 1 there.
+    """
+    return shape < np.finfo(float).tiny
+
+
 def gamma_cdf(x: float, shape: float, rate: float) -> float:
     """CDF of the gamma(shape, rate) law at x.
 
-    shape = 0 is the point mass at zero, so the CDF is 1 for any x >= 0.
+    A negligible shape is the point mass at zero, so the CDF is 1 for any x >= 0.
     """
     if not math.isfinite(rate) or rate <= 0.0:
         raise DomainError(f"rate must be finite and positive, got {rate}")
@@ -63,7 +74,7 @@ def gamma_cdf(x: float, shape: float, rate: float) -> float:
         raise DomainError(f"x must be finite and nonnegative, got {x}")
     if shape < 0.0 or not math.isfinite(shape):
         raise DomainError(f"shape must be finite and nonnegative, got {shape}")
-    if shape == 0.0:
+    if negligible_shape(shape):
         return 1.0
     return regularized_lower_gamma(shape, rate * x)
 
@@ -172,8 +183,7 @@ def adaptive_integrate_vector(
     f maps a flat array of K nodes to an (n_out, K) array; all components
     are integrated on one adaptively refined grid, driven by the component
     furthest from its tolerance. Useful when the integrands differ only by
-    a cheap parameter, such as one convolution kernel evaluated at many
-    times. Returns (values, error estimates), both of length n_out.
+    a cheap parameter. Returns (values, error estimates), both of length n_out.
     """
     tol = tol or DEFAULT_TOL
     if not (math.isfinite(a) and math.isfinite(b)):

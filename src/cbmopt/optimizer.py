@@ -225,12 +225,19 @@ class _PolicyCodec:
 
 def _search(model, costs, config, trunc, tail, fixed_tau):
     codec = _PolicyCodec(model, config, fixed_tau)
+    # breakdown per evaluated point (None where it failed); the simplex can
+    # revisit a point, and the best point is always one already evaluated
+    evaluated: dict[bytes, CostBreakdown | None] = {}
 
     def objective(z):
-        try:
-            return cost_rate(model, codec.decode(z), costs, trunc, tail).cr
-        except CbmError:
-            return math.inf
+        key = z.tobytes()
+        if key not in evaluated:
+            try:
+                evaluated[key] = cost_rate(model, codec.decode(z), costs, trunc, tail)
+            except CbmError:
+                evaluated[key] = None
+        breakdown = evaluated[key]
+        return math.inf if breakdown is None else breakdown.cr
 
     starts = _lhs_starts(config.seed, config.multistart_count, codec.dim)
     # keep threshold starts away from the degenerate box edges
@@ -240,10 +247,9 @@ def _search(model, costs, config, trunc, tail, fixed_tau):
     x, fx, trace, iterations, converged = minimize_multistart(
         objective, codec.dim, config, starts=starts
     )
-    best_policy = codec.decode(x)
     return OptimizationResult(
-        best_policy=best_policy,
-        best_breakdown=cost_rate(model, best_policy, costs, trunc, tail),
+        best_policy=codec.decode(x),
+        best_breakdown=evaluated[x.tobytes()],
         iterations_used=iterations,
         starts_converged=converged,
         trace=tuple((codec.decode(z), f) for z, f in trace),

@@ -23,7 +23,6 @@ from .failure_model import (
     shock_survival_prob,
     threshold_cdf_block,
 )
-from .numerics import ToleranceConfig
 
 __all__ = [
     "series_survival",
@@ -52,13 +51,12 @@ def series_survival(
     t: float,
     thresholds: Sequence[float],
     trunc: TruncationConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> float:
     """Probability that, by time t, no component has hard-failed or crossed
     its threshold."""
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    return float(series_survival_over_times(model, np.array([t]), thresholds, trunc, tol)[0])
+    return float(series_survival_over_times(model, np.array([t]), thresholds, trunc)[0])
 
 
 def series_survival_over_times(
@@ -66,7 +64,6 @@ def series_survival_over_times(
     times,
     thresholds: Sequence[float],
     trunc: TruncationConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> np.ndarray:
     """series_survival on an array of times, batched for speed.
 
@@ -88,7 +85,7 @@ def series_survival_over_times(
         weights[m] = weights[m - 1] * mu / m
     factors = weights
     for c, v in zip(model.components, values):
-        block = threshold_cdf_block(c, v, t, n_terms - 1, tol)
+        block = threshold_cdf_block(c, v, t, n_terms - 1)
         survive_powers = shock_survival_prob(c) ** np.arange(n_terms)
         factors = factors * survive_powers[:, None] * block
     return np.clip(factors.sum(axis=0), 0.0, 1.0)
@@ -98,11 +95,10 @@ def failure_time_cdf(
     model: SystemModel,
     t: float,
     trunc: TruncationConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> float:
     """CDF of the system failure time: first hard failure or crossing of
     any critical threshold."""
-    return 1.0 - series_survival(model, t, model.h1_vector, trunc, tol)
+    return 1.0 - series_survival(model, t, model.h1_vector, trunc)
 
 
 def detection_time_cdf(
@@ -110,11 +106,10 @@ def detection_time_cdf(
     t: float,
     h2: Sequence[float],
     trunc: TruncationConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> float:
     """CDF of the first time an on-condition threshold is reached or a hard
     failure occurs; dominates the failure time CDF pointwise."""
-    return 1.0 - series_survival(model, t, h2, trunc, tol)
+    return 1.0 - series_survival(model, t, h2, trunc)
 
 
 def reliability_curve(
@@ -122,11 +117,10 @@ def reliability_curve(
     t_grid: Sequence[float],
     thresholds: Sequence[float],
     trunc: TruncationConfig | None = None,
-    tol: ToleranceConfig | None = None,
 ) -> list[tuple[float, float]]:
     """Pointwise survival along a nondecreasing time grid."""
     grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(grid) < 0.0):
         raise DomainError("t_grid must be nondecreasing")
-    survival = series_survival_over_times(model, grid, thresholds, trunc, tol)
+    survival = series_survival_over_times(model, grid, thresholds, trunc)
     return [(float(t), float(s)) for t, s in zip(grid, survival)]

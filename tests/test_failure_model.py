@@ -1,19 +1,24 @@
 """Tests for the per-component failure law.
 
 Monte Carlo oracles draw directly from the underlying distributions with
-numpy and never touch the quadrature path they validate. The frozen
-convolution value was computed with mpmath.quad at 50 digits.
+numpy and never touch the mixture path they validate. The frozen
+convolution value was computed with mpmath.quad at 50 digits; the other
+convolution oracle is scipy's QUADPACK with an algebraic weight.
 """
 
 import math
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from cbmopt.errors import DomainError, TruncationCapError
 from cbmopt.failure_model import (
+    MIXTURE_TERM_CAP,
     ComponentParams,
     SystemModel,
     TruncationConfig,
@@ -22,12 +27,21 @@ from cbmopt.failure_model import (
     poisson_weights,
     pure_degradation_cdf,
     shock_survival_prob,
+    threshold_cdf_block,
     threshold_cdf_given_m,
     total_degradation_cdf,
 )
-from cbmopt.numerics import regularized_lower_gamma, std_normal_cdf
+from cbmopt.numerics import gamma_cdf, regularized_lower_gamma, std_normal_cdf
 
-from conftest import BENCH_LAMBDA, COMP_12, COMP_34, random_component
+from conftest import (
+    BENCH_LAMBDA,
+    COMP_12,
+    COMP_34,
+    random_component,
+    random_system,
+    table2_system,
+    table3_system,
+)
 
 # mpmath.quad of gammainc(0.7, 0, 0.3*(5-u), regularized=True) * pdf_gamma(0.8, 1)(u)
 # over [0, 5], dps=50: P(wear(1) + two-jump damage <= 5) for the component-1
@@ -97,6 +111,11 @@ class TestShockSurvival:
 class TestPureDegradation:
     def test_no_time_no_wear(self):
         assert pure_degradation_cdf(SANE, 0.5, 0.0) == 1.0
+        # alpha * t = 5e-324 is subnormal, where scipy's gammainc gives 0 for x < ~1
+        c = ComponentParams("c", 1.0, 1.0, 1.0, 0.4, 1.0, 1.0, 0.0, 1.0)
+        for x in (0.0, 0.5, 5.0):
+            assert pure_degradation_cdf(c, x, 5e-324) == 1.0
+            assert threshold_cdf_given_m(c, x, 5e-324, 0) == 1.0
 
     def test_zero_level_with_positive_shape(self):
         c = ComponentParams("c", 1.0, 1.0, 0.7, 0.3, 1.0, 1.0, 1.0, 1.0)
@@ -156,7 +175,7 @@ class TestThresholdCdfGivenM:
         )
 
     def test_monte_carlo_convolution_singular_density(self):
-        # single jump, damage shape 0.4 < 1 exercises the substitution path
+        # single jump with damage shape 0.4 < 1, a density singular at zero
         rng = np.random.default_rng(77)
         n = 1_000_000
         wear = rng.gamma(0.7 * 1.0, 1.0 / 0.3, size=n)
@@ -194,6 +213,105 @@ class TestThresholdCdfGivenM:
     def test_domain(self):
         with pytest.raises(DomainError):
             threshold_cdf_given_m(SANE, 1.0, 1.0, -1)
+
+
+def quadpack_convolution(c: ComponentParams, x: float, t: float, m: int) -> float:
+    """P(wear(t) + m jumps <= x) by QUADPACK: the wear CDF integrated against
+    the m-jump gamma density, whose u^(a-1) factor is the algebraic weight."""
+    if m == 0:
+        return gamma_cdf(x, c.alpha * t, c.beta)
+    if x == 0.0:
+        return 0.0
+    a = m * c.y_alpha
+    log_scale = a * math.log(c.y_beta) - math.lgamma(a)
+
+    def smooth(u):
+        return gamma_cdf(x - u, c.alpha * t, c.beta) * math.exp(log_scale - c.y_beta * u)
+
+    value, _ = integrate.quad(
+        smooth, 0.0, x, weight="alg", wvar=(a - 1.0, 0.0), epsabs=1e-13, epsrel=1e-11, limit=200
+    )
+    return value
+
+
+def assert_block_matches_quadpack(c, x, times, max_m):
+    block = threshold_cdf_block(c, x, np.array(times), max_m)
+    for j, t in enumerate(times):
+        for m in range(max_m + 1):
+            expected = quadpack_convolution(c, x, t, m)
+            assert abs(block[m, j] - expected) <= 1e-10, (c, x, t, m)
+
+
+class TestThresholdCdfBlock:
+    def test_matches_quadpack_on_random_components(self):
+        rng = np.random.default_rng(2019)
+        comps = [c for _ in range(10) for c in random_system(rng, 4).components]
+        assert len(comps) == 40
+        for c in comps:
+            timescale = c.h1 * c.beta / c.alpha
+            times = [0.0, 5e-324, 0.3 * timescale, timescale, 3.0 * timescale]
+            for x in (0.3 * c.h1, c.h1):
+                assert_block_matches_quadpack(c, x, times, 6)
+
+    def test_matches_quadpack_on_benchmark_components(self):
+        for c in table2_system().components[::2] + table3_system().components:
+            for x in (0.3 * c.h1, c.h1):
+                assert_block_matches_quadpack(c, x, [0.0, 5e-324, 0.004, 0.0082, 0.4], 3)
+
+    def test_slow_wear_weight_below_double_range(self):
+        # wear rate 0.1 against jump rate 1 at wear shape 400: the first
+        # mixture weight 0.1^400 underflows, and the weights that matter sit
+        # thousands of terms out
+        c = ComponentParams("slow", 5000.0, 1.0, 1.0, 0.1, 1.0, 1.0, 0.0, 1.0)
+        assert_block_matches_quadpack(c, 4000.0, [400.0], 1)
+
+    def test_rate_ratio_of_a_hundredth(self):
+        # wear rate 0.01 against jump rate 1, x at the mean: about 3,700
+        # terms at wear shape 20, and more than the cap at wear shape 100
+        c = ComponentParams("skewed", 1e4, 1.0, 1.0, 0.01, 1.0, 1.0, 0.0, 1.0)
+        assert_block_matches_quadpack(c, 2001.0, [20.0], 1)
+        with pytest.raises(TruncationCapError):
+            threshold_cdf_block(c, 10001.0, np.array([100.0]), 1)
+
+    def test_beyond_the_term_cap_raises_quickly(self):
+        # rate ratio 1e-3 at wear shape 1e3: the mixture weights spread over
+        # about 3e4 terms per standard deviation
+        c = ComponentParams("wide", 1e7, 1.0, 1.0, 1e-3, 1.0, 1.0, 0.0, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(TruncationCapError, match=str(MIXTURE_TERM_CAP)):
+            threshold_cdf_block(c, 1e6, np.array([1e3]), 2)
+        assert time.perf_counter() - start < 5.0
+
+
+@given(
+    p=st.floats(min_value=1e-3, max_value=1.0),
+    fast_rate=st.floats(min_value=0.1, max_value=10.0),
+    wear_is_slow=st.booleans(),
+    wear_shape=st.floats(min_value=1e-3, max_value=1e3),
+    jump_shape=st.floats(min_value=1e-3, max_value=1e3),
+    level=st.floats(min_value=1e-3, max_value=3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_extreme_parameters_give_a_cdf_or_a_typed_error(
+    p, fast_rate, wear_is_slow, wear_shape, jump_shape, level
+):
+    beta, y_beta = (p * fast_rate, fast_rate) if wear_is_slow else (fast_rate, p * fast_rate)
+    max_m = 3
+    c = ComponentParams("x", 1.0, 1.0, wear_shape, beta, jump_shape / max_m, y_beta, 0.0, 1.0)
+    # levels around the mean of wear plus max_m jumps at t = 1
+    mean = wear_shape / beta + jump_shape / y_beta
+    times = np.array([0.0, 0.5, 1.0])
+    try:
+        low, high = (threshold_cdf_block(c, f * level * mean, times, max_m) for f in (1.0, 1.5))
+    except TruncationCapError:
+        return
+    # rounding in the mixture grows like 1e-16 times shape times log(rate * x),
+    # about 1e-12 at shapes near 1e3
+    for block in (low, high):
+        assert np.all(np.isfinite(block))
+        assert np.all((block >= 0.0) & (block <= 1.0))
+        assert np.all(np.diff(block, axis=0) <= 1e-10)
+    assert np.all(high >= low - 1e-10)
 
 
 class TestTotalDegradationCdf:

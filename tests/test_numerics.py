@@ -116,6 +116,7 @@ class TestGammaCdf:
     def test_degenerate_shape_is_point_mass(self):
         assert gamma_cdf(0.0, 0.0, 0.3) == 1.0
         assert gamma_cdf(3.7, 0.0, 0.3) == 1.0
+        assert gamma_cdf(0.5, 5e-324, 0.4) == 1.0
 
     def test_deep_tail_log_space_value(self):
         shape = 0.7 * 44.7129

@@ -152,3 +152,22 @@ class TestPolicyOptimization:
         b = optimize_policy(model, costs, config)
         assert a.best_policy == b.best_policy
         assert a.best_breakdown.cr == b.best_breakdown.cr
+
+    def test_each_point_is_evaluated_once(self, model, costs, monkeypatch):
+        import cbmopt.optimizer as optimizer_module
+
+        seen = []
+
+        def counting_cost_rate(model, policy, costs, trunc=None, tail=None):
+            seen.append((policy.tau, policy.h2))
+            return cost_rate(model, policy, costs, trunc, tail)
+
+        monkeypatch.setattr(optimizer_module, "cost_rate", counting_cost_rate)
+        config = OptimizerConfig(
+            multistart_count=2, max_iterations=30, x_tol=1e-3, f_tol=1e-6,
+            seed=7, tau_bounds=(0.5, 200.0),
+        )
+        result = optimize_policy(model, costs, config)
+        assert len(seen) == len(set(seen))
+        assert (result.best_policy.tau, result.best_policy.h2) in set(seen)
+        assert result.best_breakdown == cost_rate(model, result.best_policy, costs)
