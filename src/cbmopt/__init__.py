@@ -59,7 +59,7 @@ from .simulator import (
     SimulationEstimate,
     empirical_first_passage_cdf,
     estimate_cost_rate,
-    simulate_cycle,
+    simulate_many,
 )
 from .system_reliability import (
     detection_time_cdf,
@@ -110,7 +110,7 @@ __all__ = [
     "reliability_curve",
     "series_survival",
     "shock_survival_prob",
-    "simulate_cycle",
+    "simulate_many",
     "std_normal_cdf",
     "threshold_cdf_given_m",
     "total_degradation_cdf",

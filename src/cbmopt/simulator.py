@@ -1,17 +1,19 @@
 """Path-wise Monte Carlo engine for cycles and first-passage times.
 
-Degradation paths are sampled exactly at event times (shock arrivals,
-inspection epochs) using independent gamma increments. Crossing times
-inside a segment are located by conditional bisection: given the levels at
-both ends, the level at the midpoint follows a beta-scaled bridge, and
-monotonicity of the path makes bisection find the same crossing point a
-dense grid would. Crossings are therefore resolved to the configured
-sub-step, detected late but never early, with bias below one sub-step.
+One vectorized engine, _advance, moves a block of paths between two times.
+Shocks arrive after exponential gaps; between them each component takes
+one exact gamma increment. A crossing inside such a stretch is located by
+conditional bisection: given the levels at both ends, the level at the
+midpoint follows a beta-scaled bridge, and monotonicity of the path makes
+bisection find the same crossing point a dense grid would. Crossings are
+therefore resolved to the configured sub-step, detected late but never
+early, with bias below one sub-step. The cycle simulator runs it once per
+inspection interval on the surviving paths, the first-passage estimator
+once over the whole horizon.
 
-Each replication of the cycle simulator owns a substream derived from the
-seed and the replication index, so results do not depend on scheduling
-order. The vectorized first-passage estimator derives substreams per
-fixed-size block of replications instead, which is equally deterministic.
+Replications run in fixed-size blocks, each drawing from a substream
+derived from the seed and the block index. The same seed and replication
+count give identical results; a different replication count re-draws them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonCapError
-from .failure_model import ComponentParams, SystemModel
+from .failure_model import SystemModel
 from .maintenance_policy import CostParams, Policy, validate_policy
 from .system_reliability import as_thresholds
 
@@ -31,7 +33,6 @@ __all__ = [
     "CycleOutcome",
     "CycleMeans",
     "SimulationEstimate",
-    "simulate_cycle",
     "simulate_many",
     "estimate_cost_rate",
     "estimate_from_outcomes",
@@ -101,126 +102,126 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _bisect_crossing(rng, alpha, ta, tb, xa, xb, limit, sub_step):
-    """Locate the crossing of a monotone gamma path inside (ta, tb].
-
-    The endpoint levels bracket the limit; each midpoint level is an exact
-    conditional draw, so the returned right bracket has the same law as
-    scanning a grid of the same resolution.
-    """
-    while tb - ta > sub_step:
-        tm = 0.5 * (ta + tb)
-        frac = rng.beta(alpha * (tm - ta), alpha * (tb - tm))
-        xm = xa + (xb - xa) * frac
-        if xm >= limit:
-            tb, xb = tm, xm
-        else:
-            ta, xa = tm, xm
-    return tb
+def _blocks(config: SimulationConfig):
+    """(substream, size) for each block of at most _BLOCK replications."""
+    for block, start in enumerate(range(0, config.replications, _BLOCK)):
+        yield _substream(config.seed, block), min(_BLOCK, config.replications - start)
 
 
-def _advance_between(rng, components, levels, t0, t1, shock_times, limits, sub_step):
-    """Advance every component from t0 to t1 in place.
-
-    shock_times must be sorted within (t0, t1). Returns (time, kind) of the
-    first threshold crossing or hard failure, or (None, None). Levels are
-    only meaningful up to the returned time.
-    """
-    boundaries = [t0, *shock_times, t1]
-    for j in range(len(boundaries) - 1):
-        a, b = boundaries[j], boundaries[j + 1]
-        if b > a:
-            first = None
-            for i, c in enumerate(components):
-                before = levels[i]
-                inc = rng.gamma(c.alpha * (b - a), 1.0 / c.beta)
-                levels[i] = before + inc
-                if before < limits[i] <= levels[i]:
-                    t_cross = _bisect_crossing(
-                        rng, c.alpha, a, b, before, levels[i], limits[i], sub_step
-                    )
-                    if first is None or t_cross < first:
-                        first = t_cross
-            if first is not None:
-                return first, "soft"
-        if j + 1 <= len(shock_times):
-            s = boundaries[j + 1]
-            hard = False
-            soft = False
-            for i, c in enumerate(components):
-                w = rng.normal(c.w_mu, c.w_sigma)
-                if w >= c.d:
-                    hard = True  # the shock itself destroys the component
-                else:
-                    levels[i] += rng.gamma(c.y_alpha, 1.0 / c.y_beta)
-                    if levels[i] >= limits[i]:
-                        soft = True
-            if hard:
-                return s, "hard"
-            if soft:
-                return s, "soft"
-    return None, None
-
-
-def simulate_cycle(
+def _advance(
     model: SystemModel,
-    policy: Policy,
+    levels: np.ndarray,
+    limits,
     rng: np.random.Generator,
-    config: SimulationConfig | None = None,
-) -> CycleOutcome:
-    """Run one renewal cycle under the inspect-and-replace policy.
+    t0: float,
+    t1: float,
+    sub_step: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the paths in the columns of levels from t0 to t1 in place.
 
-    The cycle ends at the first inspection that observes a hard failure or
-    any component at or above its on-condition threshold. A failure before
-    that inspection accrues downtime until it.
+    Returns each path's first failure time in (t0, t1], inf where there is
+    none, and whether that failure was hard. A path's levels are only
+    meaningful up to its failure time. Between shocks each component takes
+    one gamma increment; a crossing inside that quiet stretch is located by
+    bisection, each midpoint level an exact beta-bridge draw, until its
+    bracket is at most sub_step wide, so it is reported late by less than
+    one sub-step and never early.
     """
-    config = config or SimulationConfig()
-    h2 = validate_policy(model, policy)
-    tau = policy.tau
-    sub_step = config.sub_step if config.sub_step is not None else tau / 1024.0
-    h1 = model.h1_vector
-    levels = [0.0] * model.n
-    k = 0
-    while True:
-        k += 1
-        if k > config.horizon_cap:
-            raise HorizonCapError(
-                f"no detection within {config.horizon_cap} inspections"
-            )
-        t0, t1 = (k - 1) * tau, k * tau
-        n_shocks = rng.poisson(model.lam * tau)
-        shock_times = np.sort(rng.uniform(t0, t1, size=n_shocks)).tolist()
-        failure_time, kind = _advance_between(
-            rng, model.components, levels, t0, t1, shock_times, h1, sub_step
-        )
-        if failure_time is not None:
-            return CycleOutcome(
-                inspections=k,
-                cycle_length=k * tau,
-                downtime=k * tau - failure_time,
-                ended_preventively=False,
-                failure_time=failure_time,
-                failure_kind=kind,
-            )
-        if any(level >= threshold for level, threshold in zip(levels, h2)):
-            return CycleOutcome(
-                inspections=k,
-                cycle_length=k * tau,
-                downtime=0.0,
-                ended_preventively=True,
-                failure_time=None,
-                failure_kind="none",
-            )
+    fail = np.full(levels.shape[1], np.inf)
+    hard = np.zeros(levels.shape[1], dtype=bool)
+    paths = np.arange(levels.shape[1])
+    t = np.full(paths.size, float(t0))
+    while paths.size:
+        if model.lam > 0.0:
+            shock = t + rng.exponential(1.0 / model.lam, size=paths.size)
+        else:
+            shock = np.full(paths.size, np.inf)
+        end = np.minimum(shock, t1)
+        crossed = np.full(paths.size, np.inf)
+        for i, c in enumerate(model.components):
+            before = levels[i, paths]
+            after = before + rng.gamma(c.alpha * (end - t), 1.0 / c.beta)
+            levels[i, paths] = after
+            hit = np.flatnonzero((before < limits[i]) & (after >= limits[i]))
+            lo, hi, x_lo, x_hi = t[hit], end[hit], before[hit], after[hit]
+            wide = np.flatnonzero(hi - lo > sub_step)
+            while wide.size:
+                mid = 0.5 * (lo[wide] + hi[wide])
+                frac = rng.beta(c.alpha * (mid - lo[wide]), c.alpha * (hi[wide] - mid))
+                x_mid = x_lo[wide] + (x_hi[wide] - x_lo[wide]) * frac
+                above = x_mid >= limits[i]
+                hi[wide[above]], x_hi[wide[above]] = mid[above], x_mid[above]
+                lo[wide[~above]], x_lo[wide[~above]] = mid[~above], x_mid[~above]
+                wide = wide[hi[wide] - lo[wide] > sub_step]
+            crossed[hit] = np.minimum(crossed[hit], hi)
+        fail[paths] = crossed
+        # a wear crossing comes before the shock that ends its stretch
+        go = np.isinf(crossed) & (shock < t1)
+        paths, t = paths[go], shock[go]
+        lethal = np.zeros(paths.size, dtype=bool)
+        over = np.zeros(paths.size, dtype=bool)
+        for i, c in enumerate(model.components):
+            destroyed = rng.normal(c.w_mu, c.w_sigma, size=paths.size) >= c.d
+            jump = rng.gamma(c.y_alpha, 1.0 / c.y_beta, size=paths.size)
+            levels[i, paths] += np.where(destroyed, 0.0, jump)
+            lethal |= destroyed
+            over |= levels[i, paths] >= limits[i]
+        failed = lethal | over
+        fail[paths[failed]] = t[failed]
+        hard[paths[failed]] = lethal[failed]
+        paths, t = paths[~failed], t[~failed]
+    return fail, hard
 
 
 def simulate_many(
     model: SystemModel, policy: Policy, config: SimulationConfig
 ) -> list[CycleOutcome]:
-    """Independent cycles, one seeded substream per replication index."""
-    return [
-        simulate_cycle(model, policy, _substream(config.seed, j), config)
-        for j in range(config.replications)
-    ]
+    """Independent renewal cycles under the inspect-and-replace policy.
+
+    A cycle ends at the first inspection that observes a hard failure or
+    any component at or above its on-condition threshold. A failure before
+    that inspection accrues downtime until it. Raises HorizonCapError when
+    some cycle is not over after config.horizon_cap inspections.
+    """
+    h2 = np.array(validate_policy(model, policy))[:, None]
+    tau = policy.tau
+    sub_step = config.sub_step if config.sub_step is not None else tau / 1024.0
+    outcomes = []
+    for rng, size in _blocks(config):
+        levels = np.zeros((model.n, size))
+        paths = np.arange(size)
+        inspections = np.zeros(size, dtype=np.int64)
+        fail = np.full(size, np.inf)
+        hard = np.zeros(size, dtype=bool)
+        k = 0
+        while paths.size:
+            k += 1
+            if k > config.horizon_cap:
+                raise HorizonCapError(
+                    f"no detection within {config.horizon_cap} inspections"
+                )
+            t_fail, t_hard = _advance(
+                model, levels, model.h1_vector, rng, (k - 1) * tau, k * tau, sub_step
+            )
+            failed = np.isfinite(t_fail)
+            fail[paths[failed]] = t_fail[failed]
+            hard[paths[failed]] = t_hard[failed]
+            done = failed | (levels >= h2).any(axis=0)
+            inspections[paths[done]] = k
+            paths, levels = paths[~done], levels[:, ~done]
+        for k, t_f, is_hard in zip(inspections.tolist(), fail.tolist(), hard.tolist()):
+            preventive = t_f == math.inf
+            outcomes.append(
+                CycleOutcome(
+                    inspections=k,
+                    cycle_length=k * tau,
+                    downtime=0.0 if preventive else k * tau - t_f,
+                    ended_preventively=preventive,
+                    failure_time=None if preventive else t_f,
+                    failure_kind="none" if preventive else ("hard" if is_hard else "soft"),
+                )
+            )
+    return outcomes
 
 
 def estimate_cost_rate(
@@ -292,78 +293,13 @@ def empirical_first_passage_cdf(
     if horizon == 0.0:
         return [(t, 0.0) for t in grid]
     sub_step = config.sub_step if config.sub_step is not None else horizon / 4096.0
-    n_strides = max(1, math.ceil(horizon / (64.0 * sub_step)))
-    stride = horizon / n_strides
-    depth = max(0, math.ceil(math.log2(stride / sub_step))) if stride > sub_step else 0
-
     grid_arr = np.array(grid)
     counts_leq = np.zeros(len(grid), dtype=np.int64)
-    remaining = config.replications
-    block_index = 0
-    while remaining > 0:
-        size = min(_BLOCK, remaining)
-        rng = _substream(config.seed, block_index)
-        cross = _first_passage_block(model, values, rng, size, n_strides, stride, depth, sub_step)
+    for rng, size in _blocks(config):
+        cross, _ = _advance(
+            model, np.zeros((model.n, size)), values, rng, 0.0, horizon, sub_step
+        )
         counts_leq += np.searchsorted(np.sort(cross), grid_arr, side="right")
-        remaining -= size
-        block_index += 1
     return [
         (t, c / config.replications) for t, c in zip(grid, counts_leq.tolist())
     ]
-
-
-def _first_passage_block(
-    model: SystemModel,
-    thresholds: tuple[float, ...],
-    rng: np.random.Generator,
-    size: int,
-    n_strides: int,
-    stride: float,
-    depth: int,
-    sub_step: float,
-) -> np.ndarray:
-    comps = model.components
-    levels = np.zeros((model.n, size))
-    cross = np.full(size, np.inf)
-    for s in range(n_strides):
-        a = s * stride
-        b = a + stride
-        alive = np.flatnonzero(np.isinf(cross))
-        if alive.size == 0:
-            break
-        shock_counts = rng.poisson(model.lam * stride, size=alive.size)
-        quiet = alive[shock_counts == 0]
-        shocked = alive[shock_counts > 0]
-        for i, c in enumerate(comps):
-            before = levels[i, quiet]
-            after = before + rng.gamma(c.alpha * stride, 1.0 / c.beta, size=quiet.size)
-            levels[i, quiet] = after
-            hit = np.flatnonzero((before < thresholds[i]) & (after >= thresholds[i]))
-            if hit.size:
-                ta = np.full(hit.size, a)
-                tb = np.full(hit.size, b)
-                xa = before[hit]
-                xb = after[hit]
-                for _ in range(depth):
-                    tm = 0.5 * (ta + tb)
-                    frac = rng.beta(c.alpha * (tm - ta), c.alpha * (tb - tm))
-                    xm = xa + (xb - xa) * frac
-                    above = xm >= thresholds[i]
-                    tb = np.where(above, tm, tb)
-                    xb = np.where(above, xm, xb)
-                    ta = np.where(above, ta, tm)
-                    xa = np.where(above, xa, xm)
-                reps = quiet[hit]
-                cross[reps] = np.minimum(cross[reps], tb)
-        # rare shocked paths fall back to the exact scalar advance
-        for rep, count in zip(shocked, shock_counts[shock_counts > 0].tolist()):
-            times = np.sort(rng.uniform(a, b, size=count)).tolist()
-            rep_levels = [float(levels[i, rep]) for i in range(model.n)]
-            t_cross, _ = _advance_between(
-                rng, comps, rep_levels, a, b, times, thresholds, sub_step
-            )
-            for i in range(model.n):
-                levels[i, rep] = rep_levels[i]
-            if t_cross is not None:
-                cross[rep] = min(cross[rep], t_cross)
-    return cross

@@ -380,7 +380,9 @@ def test_criterion_5_downtime_formula_audit(report_dir):
     for seed in [201, 202, 203]:
         rng = np.random.default_rng(seed)
         model = random_system(rng, int(rng.integers(2, 4)))
-        tau = tau_at_quantile(model, 0.6)
+        # rounded, so that last-bit moves of the analytic quantile cannot
+        # re-draw the Monte Carlo column
+        tau = float(f"{tau_at_quantile(model, 0.6):.10g}")
         policy = Policy(tau=tau, h2=tuple(0.55 * c.h1 for c in model.components))
         closed_form = expected_downtime(model, policy)
         outcomes = simulate_many(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cbmopt.errors import DomainError, HorizonCapError
-from cbmopt.failure_model import SystemModel
+from cbmopt.failure_model import ComponentParams, SystemModel
 from cbmopt.maintenance_policy import (
     CostParams,
     Policy,
@@ -14,11 +14,10 @@ from cbmopt.maintenance_policy import (
     expected_cycle_length,
 )
 from cbmopt.simulator import (
-    CycleOutcome,
+    _BLOCK,
     SimulationConfig,
     empirical_first_passage_cdf,
     estimate_cost_rate,
-    simulate_cycle,
     simulate_many,
 )
 from cbmopt.system_reliability import series_survival_over_times
@@ -36,31 +35,35 @@ def make_policy(model, frac=0.6, tau=5.0):
     return Policy(tau=tau, h2=tuple(frac * c.h1 for c in model.components))
 
 
+def dkw_epsilon(n, delta=1e-6):
+    """Dvoretzky-Kiefer-Wolfowitz band: an empirical CDF of n draws lies
+    within it of the true CDF everywhere with probability 1 - delta."""
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+
 class TestSimulateCycle:
     def test_zero_thresholds_end_at_first_inspection(self, model):
         policy = Policy(tau=3.0, h2=(0.0,) * model.n)
-        for seed in range(20):
-            outcome = simulate_cycle(model, policy, np.random.default_rng(seed))
+        outcomes = simulate_many(model, policy, SimulationConfig(replications=20, seed=0))
+        for outcome in outcomes:
             assert outcome.inspections == 1
             assert outcome.cycle_length == 3.0
 
     def test_no_shocks_means_no_hard_failures(self, model):
         quiet = SystemModel(components=model.components, lam=0.0)
         policy = make_policy(quiet)
-        for seed in range(100):
-            outcome = simulate_cycle(quiet, policy, np.random.default_rng(seed))
+        outcomes = simulate_many(quiet, policy, SimulationConfig(replications=100, seed=0))
+        for outcome in outcomes:
             assert outcome.failure_kind != "hard"
 
     def test_determinism(self, model):
         policy = make_policy(model)
-        a = simulate_cycle(model, policy, np.random.default_rng(42))
-        b = simulate_cycle(model, policy, np.random.default_rng(42))
-        assert a == b
+        config = SimulationConfig(replications=200, seed=42)
+        assert simulate_many(model, policy, config) == simulate_many(model, policy, config)
 
     def test_outcome_invariants(self, model):
         policy = make_policy(model)
-        for seed in range(300):
-            o = simulate_cycle(model, policy, np.random.default_rng(seed))
+        for o in simulate_many(model, policy, SimulationConfig(replications=300, seed=0)):
             assert o.cycle_length == o.inspections * policy.tau
             assert 0.0 <= o.downtime < policy.tau
             if o.downtime > 0.0:
@@ -74,8 +77,7 @@ class TestSimulateCycle:
     def test_detection_at_failure_threshold_accounts_downtime_exactly(self, model):
         policy = Policy(tau=6.0, h2=model.h1_vector)
         seen_corrective = 0
-        for seed in range(150):
-            o = simulate_cycle(model, policy, np.random.default_rng(seed))
+        for o in simulate_many(model, policy, SimulationConfig(replications=150, seed=0)):
             if not o.ended_preventively:
                 seen_corrective += 1
                 assert o.downtime == pytest.approx(
@@ -87,9 +89,54 @@ class TestSimulateCycle:
         # thresholds at the failure level with a tiny interval: no detection
         # within a handful of inspections
         policy = Policy(tau=1e-5, h2=model.h1_vector)
-        config = SimulationConfig(replications=1, seed=0, horizon_cap=20)
+        config = SimulationConfig(replications=1, seed=3, horizon_cap=20)
         with pytest.raises(HorizonCapError):
-            simulate_cycle(model, policy, np.random.default_rng(3), config)
+            simulate_many(model, policy, config)
+
+    def test_partial_final_block(self, model):
+        # block b draws from substream b, so the first block's cycles do not
+        # depend on how many replications follow it
+        policy = make_policy(model)
+        full = simulate_many(model, policy, SimulationConfig(replications=_BLOCK, seed=4))
+        longer = simulate_many(model, policy, SimulationConfig(replications=_BLOCK + 1, seed=4))
+        assert len(longer) == _BLOCK + 1
+        assert longer[:_BLOCK] == full
+        last = longer[-1]
+        assert last.cycle_length == last.inspections * policy.tau
+        assert 0.0 <= last.downtime < policy.tau
+
+
+def lethal_shock_model(lam):
+    """Every shock destroys a component and wear is negligible: the first
+    shock is the failure, so the failure time is exponential with rate lam."""
+    component = ComponentParams(
+        name="lethal", h1=1.0, d=1.0, alpha=1e-9, beta=1.0,
+        y_alpha=1.0, y_beta=1.0, w_mu=100.0, w_sigma=1.0,
+    )
+    return SystemModel(components=(component, component), lam=lam)
+
+
+class TestLethalShocks:
+    def test_inspections_are_geometric(self):
+        lam, tau, n = 0.5, 1.0, 20_000
+        model = lethal_shock_model(lam)
+        policy = Policy(tau=tau, h2=model.h1_vector)
+        outcomes = simulate_many(model, policy, SimulationConfig(replications=n, seed=8))
+        assert all(o.failure_kind == "hard" for o in outcomes)
+        counts = np.array([o.inspections for o in outcomes], dtype=float)
+        exact = 1.0 / (1.0 - math.exp(-lam * tau))
+        stderr = counts.std(ddof=1) / math.sqrt(n)
+        assert abs(counts.mean() - exact) < 4.0 * stderr
+
+    def test_first_passage_is_exponential(self):
+        lam, n = 0.5, _BLOCK + 1
+        model = lethal_shock_model(lam)
+        grid = np.linspace(0.0, 8.0, 81)
+        curve = empirical_first_passage_cdf(
+            model, model.h1_vector, SimulationConfig(replications=n, seed=12), grid
+        )
+        empirical = np.array([v for _, v in curve])
+        assert np.max(np.abs(empirical - (1.0 - np.exp(-lam * grid)))) < dkw_epsilon(n)
 
 
 class TestEstimateCostRate:
@@ -173,6 +220,25 @@ class TestFirstPassage:
         empirical = np.array([v for _, v in curve])
         ks = float(np.max(np.abs(empirical - analytic)))
         assert ks < 1.63 / math.sqrt(n) + 0.002  # sampling band plus sub-step bias
+
+    def test_crossings_late_by_at_most_one_coarse_sub_step(self, model):
+        # with a sub-step of an eighth of the horizon the empirical CDF must
+        # sit between F(t - sub_step) and F(t), up to the DKW band
+        n, sub_step = 20_000, 25.0 / 8.0
+        grid = np.linspace(0.0, 25.0, 51)
+        curve = empirical_first_passage_cdf(
+            model,
+            model.h1_vector,
+            SimulationConfig(replications=n, seed=43, sub_step=sub_step),
+            grid,
+        )
+        empirical = np.array([v for _, v in curve])
+        eps = dkw_epsilon(n)
+        cdf = 1.0 - series_survival_over_times(model, grid, model.h1_vector)
+        earlier = np.maximum(grid - sub_step, 0.0)
+        cdf_before = 1.0 - series_survival_over_times(model, earlier, model.h1_vector)
+        assert np.all(empirical <= cdf + eps)
+        assert np.all(empirical >= cdf_before - eps)
 
     def test_grid_validation(self, model):
         config = SimulationConfig(replications=10, seed=0)
