@@ -36,7 +36,6 @@ from .maintenance_policy import (
     Policy,
     SeriesTailConfig,
     cost_rate,
-    expected_cycle_length,
     expected_downtime,
     expected_inspections,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "empirical_first_passage_cdf",
     "estimate_cost_rate",
     "event_probabilities",
-    "expected_cycle_length",
     "expected_downtime",
     "expected_inspections",
     "failure_time_cdf",

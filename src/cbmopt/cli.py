@@ -385,19 +385,18 @@ def cmd_reliability(config: RunConfig, t_max: float, steps: int, out_path: str) 
         raise ConfigError(f"steps must be at least 2, got {steps}")
     grid = np.linspace(0.0, t_max, steps)
     h1 = config.system.h1_vector
-    survival = series_survival_over_times(config.system, grid, h1, config.truncation)
-    failure = 1.0 - survival
+    rows = [h1] if config.policy is None else [h1, config.policy.h2]
+    curves = series_survival_over_times(config.system, grid, rows, config.truncation)
+    failure = 1.0 - curves[0]
     header = ["t", "reliability", "failure_cdf"]
-    columns = [grid.tolist(), survival.tolist(), failure.tolist()]
+    columns = [grid.tolist(), curves[0].tolist(), failure.tolist()]
     outputs = {
         "t": grid.tolist(),
-        "reliability": survival.tolist(),
+        "reliability": curves[0].tolist(),
         "failure_cdf": failure.tolist(),
     }
     if config.policy is not None:
-        detection = 1.0 - series_survival_over_times(
-            config.system, grid, config.policy.h2, config.truncation
-        )
+        detection = 1.0 - curves[1]
         header.append("detection_cdf")
         columns.append(detection.tolist())
         outputs["detection_cdf"] = detection.tolist()

@@ -127,6 +127,9 @@ DEFAULT_TRUNCATION = TruncationConfig()
 _MIXTURE_EPS = 1e-15
 # terms one mixture may take before it raises TruncationCapError
 MIXTURE_TERM_CAP = 10_000
+# _gamma_sum_cdf computes the weights of up to _MIXTURE_CHUNK terms at once,
+# halving that while the chunk would hold more than _MIXTURE_CHUNK_CELLS values
+_MIXTURE_CHUNK, _MIXTURE_CHUNK_CELLS = 16, 1024
 
 
 def poisson_weights(mu: float, trunc: TruncationConfig | None = None) -> list[float]:
@@ -201,53 +204,49 @@ def threshold_cdf_given_m(c: ComponentParams, x: float, t: float, m: int) -> flo
     return float(_cdfs_by_shock_count(c, x, t, int(m))[m])
 
 
-def _cdfs_by_shock_count(c: ComponentParams, x: float, t: float, max_m: int) -> np.ndarray:
-    """threshold_cdf_given_m at one (x, t) for every m = 0..max_m."""
-    if not (math.isfinite(x) and x >= 0.0):
+def _cdfs_by_shock_count(c: ComponentParams, x, t: float, max_m: int) -> np.ndarray:
+    """threshold_cdf_block at one time t: one level x, or levels on a leading axis."""
+    levels = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(levels) & (levels >= 0.0)):
         raise DomainError(f"x must be finite and >= 0, got {x}")
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    return threshold_cdf_block(c, float(x), np.array([float(t)]), max_m)[:, 0]
+    return threshold_cdf_block(c, levels, np.array([float(t)]), max_m)[..., 0]
 
 
-def threshold_cdf_block(c: ComponentParams, x: float, times, max_m: int) -> np.ndarray:
+def threshold_cdf_block(c: ComponentParams, x, times, max_m: int) -> np.ndarray:
     """threshold_cdf_given_m for every m = 0..max_m and every time at once.
 
-    The m = 0 row is the wear CDF alone and the t = 0 columns the jump-sum
-    CDF alone; every other cell is the exact gamma-sum mixture of
-    _gamma_sum_cdf. Returns an array of shape (max_m + 1, len(times)).
+    x is one level or an array of levels; the result has shape
+    x.shape + (max_m + 1, len(times)). The m = 0 row is the wear CDF alone
+    and the t = 0 columns the jump-sum CDF alone; every other cell is the
+    exact gamma-sum mixture of _gamma_sum_cdf, one loop for all levels.
     """
     t = np.asarray(times, dtype=float)
-    out = np.empty((max_m + 1, t.size))
+    flat = np.asarray(x, dtype=float).reshape(-1, 1, 1)
+    out = np.empty((flat.shape[0], max_m + 1, t.size))
     # no wear yet where the wear shape alpha * t is zero or subnormal
     at_zero = negligible_shape(c.alpha * t)
     # wear-only row: the degenerate shape is the point mass at zero
-    out[0, at_zero] = 1.0
-    out[0, ~at_zero] = np.clip(
-        special.gammainc(c.alpha * t[~at_zero], c.beta * x), 0.0, 1.0
+    out[:, 0, at_zero] = 1.0
+    out[:, 0, ~at_zero] = np.clip(
+        special.gammainc(c.alpha * t[~at_zero], c.beta * flat[:, 0]), 0.0, 1.0
     )
-    if max_m == 0:
-        return out
-    if x == 0.0:
-        out[1:].fill(0.0)
-        return out
-    jump_shapes = np.arange(1, max_m + 1)[:, None] * c.y_alpha
-    # no wear yet at t = 0, only the jump sum
-    out[1:, at_zero] = special.gammainc(jump_shapes, c.y_beta * x)
-    t_pos = t[~at_zero]
-    if t_pos.size:
-        out[1:, ~at_zero] = np.clip(
-            _gamma_sum_cdf(c.alpha * t_pos[None, :], c.beta, jump_shapes, c.y_beta, x),
-            0.0,
-            1.0,
-        )
-    return out
+    if max_m > 0:
+        jump_shapes = np.arange(1, max_m + 1)[:, None] * c.y_alpha
+        # no wear yet at t = 0, only the jump sum
+        out[:, 1:, at_zero] = special.gammainc(jump_shapes, c.y_beta * flat)
+        t_pos = t[~at_zero]
+        if t_pos.size:
+            mixture = _gamma_sum_cdf(c.alpha * t_pos[None, :], c.beta, jump_shapes, c.y_beta, flat)
+            out[:, 1:, ~at_zero] = np.clip(mixture, 0.0, 1.0)
+    return out.reshape(np.shape(x) + out.shape[1:])
 
 
-def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x: float) -> np.ndarray:
+def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndarray:
     """P(A + B <= x) for independent A ~ gamma(shape_a, rate_a) and
-    B ~ gamma(shape_b, rate_b), with x > 0 and positive shape arrays that
-    broadcast together.
+    B ~ gamma(shape_b, rate_b), with positive shape arrays that broadcast
+    together and levels x >= 0 on leading axes of their own.
 
     The law with the slower rate r_s is an exact negative-binomial mixture
     of gammas with the faster rate r_f (Moschopoulos, Ann. Inst. Stat.
@@ -260,6 +259,13 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x: float) -> 
     The weights are carried in log space from k = 0, since w_0 = p^a_s
     underflows once a_s |ln p| exceeds about 745; so is d, which can rise
     from below the double range to order one along the sum.
+
+    Only z, and with it P and d, carry the level axis: the weights, their
+    ratios and the tail bounds depend on the slow shape alone, so every
+    level shares one loop. Those small arrays are computed a chunk of terms
+    at a time, the log weights as running sums of the log ratios (the same
+    additions as term by term), and the loop over terms keeps only the
+    full-array recurrence. A level x = 0 gives exactly 0.
 
     The sum stops before term k once P(a + k, z) min(1, w_k / (1 - rho))
     <= _MIXTURE_EPS in every cell, rho being the largest ratio w_{j+1} / w_j
@@ -278,30 +284,38 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x: float) -> 
         shape_a, rate_a, shape_b, rate_b = shape_b, rate_b, shape_a, rate_a
     slow = np.asarray(shape_a, dtype=float)
     s = slow + shape_b
-    z = rate_b * x
+    z = rate_b * np.asarray(x, dtype=float)
     p = rate_a / rate_b
     if p == 1.0:
         return special.gammainc(s, z)
     q = 1.0 - p
-    # the weights depend on the slow shape alone, so they keep its shape
-    log_w = slow * math.log(p)
     cdf = special.gammainc(s, z)
-    log_z = math.log(z) if z > 0.0 else -math.inf
+    # math.log per level: numpy's vectorized log can differ from it in the last bit
+    log_z = np.array([math.log(v) if v > 0.0 else -math.inf for v in z.flat]).reshape(z.shape)
     log_d = s * log_z - z - special.gammaln(s + 1.0)
     total = np.zeros_like(cdf)
-    for k in range(MIXTURE_TERM_CAP):
-        w = np.exp(log_w)
-        ratio = q * (slow + k) / (k + 1.0)
+    log_w = slow * math.log(p)
+    rows = _MIXTURE_CHUNK
+    while rows > 1 and rows * slow.size > _MIXTURE_CHUNK_CELLS:
+        rows //= 2
+    k_axis = np.arange(rows).reshape((-1,) + (1,) * slow.ndim)
+    for k0 in range(0, MIXTURE_TERM_CAP, rows):
+        ks = k0 + k_axis
+        ratio = q * (slow + ks) / (ks + 1.0)
+        log_ws = [log_w]  # a running sum: numpy's cumsum over this axis is slow
+        for log_r in np.log(ratio):
+            log_ws.append(log_ws[-1] + log_r)
+        w, log_w = np.exp(log_ws[:-1]), log_ws[-1]
         # the ratios tend to q, from above when a_s > 1 and from below otherwise
         rho = np.maximum(ratio, q)
         tail = np.minimum(np.divide(w, 1.0 - rho, out=np.ones_like(w), where=rho < 1.0), 1.0)
-        if np.all(cdf * tail <= _MIXTURE_EPS):
-            return total
-        total += w * cdf
-        cdf -= np.exp(log_d)
-        log_w += np.log(ratio)
-        s += 1.0
-        log_d += log_z - np.log(s)
+        for j in range(rows):
+            if (cdf * tail[j]).max(initial=0.0) <= _MIXTURE_EPS:
+                return total
+            total += w[j] * cdf
+            cdf -= np.exp(log_d)
+            s += 1.0
+            log_d += log_z - np.log(s)
     raise TruncationCapError(
         f"gamma-sum mixture needs more than {MIXTURE_TERM_CAP} terms "
         f"for rate ratio {p} and slow shapes up to {float(slow.max())}"
@@ -347,8 +361,7 @@ def event_probabilities(
     max_m = len(weights) - 1
     # the m-th term also needs all m shocks survived
     alive = np.array(weights) * shock_survival_prob(c) ** np.arange(max_m + 1)
-    below_h2 = _cdfs_by_shock_count(c, h2, t, max_m)
-    below_h1 = _cdfs_by_shock_count(c, c.h1, t, max_m)
+    below_h2, below_h1 = _cdfs_by_shock_count(c, [h2, c.h1], t, max_m)
     p_safe = float(np.dot(alive, below_h2))
     p_warn = float(np.dot(alive, np.maximum(below_h1 - below_h2, 0.0)))
     p_safe = min(max(p_safe, 0.0), 1.0)

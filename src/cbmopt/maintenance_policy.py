@@ -34,7 +34,6 @@ __all__ = [
     "SeriesTailConfig",
     "expected_inspections",
     "expected_downtime",
-    "expected_cycle_length",
     "cost_rate",
 ]
 
@@ -112,17 +111,24 @@ def _cdf_ladder(
     policy: Policy,
     trunc: TruncationConfig | None,
     tail: SeriesTailConfig | None,
-) -> list[float]:
+) -> tuple[list[float], np.ndarray, float]:
     """Validate the policy and sample its detection-time CDF at 0, tau,
     2*tau, ... until the tail drops below the cutoff; raises TailCapError
-    if that never happens within the cap. Evaluated in batches of
-    inspection epochs."""
-    thresholds = validate_policy(model, policy)
+    if that never happens within the cap.
+
+    Each batch of epochs is one survival pass over the rows [h2; h1], and
+    the first one also carries the probe time tau/128. Returns the ladder,
+    the failure-time CDF at the same epochs, and the failure-time CDF at
+    the probe, which _downtime_from_ladder needs.
+    """
+    rows = (validate_policy(model, policy), model.h1_vector)
     tau = policy.tau
     tail = tail or DEFAULT_TAIL
     ladder = [0.0]
+    failure = [0.0]
     k = 0
     batch = 8
+    first = [tau / 128.0]  # the probe time rides along with the first batch
     while True:
         if k + 1 > tail.k_max_cap:
             raise TailCapError(
@@ -130,13 +136,17 @@ def _cdf_ladder(
                 f"(tail eps {tail.k_tail_eps}); the policy may never trigger"
             )
         ks = range(k + 1, min(k + batch, tail.k_max_cap) + 1)
-        times = np.array([j * tau for j in ks])
-        values = 1.0 - series_survival_over_times(model, times, thresholds, trunc)
-        for f_k in values:
+        times = np.array(first + [j * tau for j in ks])
+        cdfs = 1.0 - series_survival_over_times(model, times, rows, trunc)
+        if first:
+            probe = float(cdfs[1, 0])
+            cdfs, first = cdfs[:, 1:], []
+        for f_k, f1_k in zip(cdfs[0], cdfs[1]):
             k += 1
             ladder.append(float(f_k))
+            failure.append(f1_k)
             if 1.0 - f_k < tail.k_tail_eps:
-                return ladder
+                return ladder, np.array(failure), probe
         batch = min(batch * 2, 64)
 
 
@@ -155,28 +165,20 @@ def expected_inspections(
     tail: SeriesTailConfig | None = None,
 ) -> float:
     """Expected number of inspections in one renewal cycle."""
-    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail))
+    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail)[0])
 
 
-def expected_cycle_length(
-    model: SystemModel,
-    policy: Policy,
-    trunc: TruncationConfig | None = None,
-    tail: SeriesTailConfig | None = None,
-) -> float:
-    """Expected time between replacements: tau times the inspection count."""
-    return policy.tau * expected_inspections(model, policy, trunc, tail)
-
-
-def _weighted_downtime_sum(
+def _downtime_from_ladder(
     model: SystemModel,
     tau: float,
-    weights: np.ndarray,
+    ladder: list[float],
     f1_at: np.ndarray,
+    probe: float,
     trunc: TruncationConfig | None,
 ) -> float:
-    """Sum over inspection intervals of weight_k times the Stieltjes
-    integral of (k*tau - t) against the failure-time CDF.
+    """Sum over inspection intervals of the detection mass of interval k
+    (the residual tail on the last one) times the Stieltjes integral of
+    (k*tau - t) against the failure-time CDF.
 
     Each interval integral is rewritten by parts as the area under the CDF
     minus a boundary term; differentiating a CDF built from truncated
@@ -186,8 +188,10 @@ def _weighted_downtime_sum(
     so one refinement round covers many intervals at once. Intervals where
     the CDF barely rises are provably negligible and are clipped off.
     """
+    weights = np.diff(np.array(ladder))
+    weights[-1] += 1.0 - ladder[-1]
+    weights = np.maximum(weights, 0.0)
     kmax = len(weights)
-    h1 = model.h1_vector
     rises = np.diff(f1_at)
     significant = np.flatnonzero(weights * tau * rises >= 1e-13 * tau)
     if significant.size == 0:
@@ -197,7 +201,7 @@ def _weighted_downtime_sum(
 
     def weighted_cdf(ts):
         ts = np.asarray(ts, dtype=float)
-        cdf = 1.0 - series_survival_over_times(model, ts, h1, trunc)
+        cdf = 1.0 - series_survival_over_times(model, ts, model.h1_vector, trunc)
         k_of_t = np.minimum((ts / tau).astype(int), kmax - 1)
         return weights[k_of_t] * cdf
 
@@ -210,39 +214,15 @@ def _weighted_downtime_sum(
         stop = min(start + chunk - 1, k_last)
         lo, hi = (start - 1) * tau, stop * tau
         mesh = [k * tau for k in range(start, stop)]
-        if start == 1:
-            # the CDF may rise in a thin layer far below the first epoch;
-            # one probe decides whether to grade the mesh toward zero
-            probe = 1.0 - series_survival_over_times(
-                model, np.array([tau / 128.0]), h1, trunc
-            )
-            if float(probe[0]) > 0.99:
-                mesh = [tau * 0.5**j for j in range(7, 28)] + mesh
+        # the CDF may rise in a thin layer far below the first epoch; its
+        # value at tau/128 decides whether to grade the mesh toward zero
+        if start == 1 and probe > 0.99:
+            mesh = [tau * 0.5**j for j in range(7, 28)] + mesh
         value, _ = adaptive_integrate(
             weighted_cdf, lo, hi, _TIME_INTEGRAL_TOL, breakpoints=mesh
         )
         area += value
     return max(area - tau * boundary, 0.0)
-
-
-def _downtime_from_ladder(
-    model: SystemModel,
-    tau: float,
-    ladder: list[float],
-    trunc: TruncationConfig | None,
-) -> float:
-    h1 = model.h1_vector
-    kmax = len(ladder) - 1
-    # detection-mass weights per interval, residual tail on the last one
-    weights = np.diff(np.array(ladder))
-    weights[-1] += 1.0 - ladder[-1]
-    weights = np.maximum(weights, 0.0)
-    # failure CDF at every inspection epoch of the ladder, in one batch
-    epochs = np.array([k * tau for k in range(1, kmax + 1)])
-    f1_at = np.concatenate(
-        [[0.0], 1.0 - series_survival_over_times(model, epochs, h1, trunc)]
-    )
-    return _weighted_downtime_sum(model, tau, weights, f1_at, trunc)
 
 
 def expected_downtime(
@@ -253,8 +233,8 @@ def expected_downtime(
 ) -> float:
     """Expected downtime per cycle from the literal closed-form expression
     (see the module docstring for its caveat)."""
-    ladder = _cdf_ladder(model, policy, trunc, tail)
-    return _downtime_from_ladder(model, policy.tau, ladder, trunc)
+    ladder, f1_at, probe = _cdf_ladder(model, policy, trunc, tail)
+    return _downtime_from_ladder(model, policy.tau, ladder, f1_at, probe, trunc)
 
 
 def cost_rate(
@@ -266,10 +246,10 @@ def cost_rate(
 ) -> CostBreakdown:
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
-    E[N_I] and E[rho] share one detection-CDF ladder."""
-    ladder = _cdf_ladder(model, policy, trunc, tail)
+    E[N_I] and E[rho] share one ladder of detection- and failure-CDF values."""
+    ladder, f1_at, probe = _cdf_ladder(model, policy, trunc, tail)
     e_ni = _inspections_from_ladder(ladder)
-    e_rho = _downtime_from_ladder(model, policy.tau, ladder, trunc)
+    e_rho = _downtime_from_ladder(model, policy.tau, ladder, f1_at, probe, trunc)
     e_k = policy.tau * e_ni
     e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
     return CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k)

@@ -6,10 +6,10 @@ one exact gamma increment. A crossing inside such a stretch is located by
 conditional bisection: given the levels at both ends, the level at the
 midpoint follows a beta-scaled bridge, and monotonicity of the path makes
 bisection find the same crossing point a dense grid would. Crossings are
-therefore resolved to the configured sub-step, detected late but never
-early, with bias below one sub-step. The cycle simulator runs it once per
-inspection interval on the surviving paths, the first-passage estimator
-once over the whole horizon.
+therefore resolved to the configured sub-step, or to one ulp of t where
+that is coarser, detected late but never early. The cycle simulator runs
+it once per inspection interval on the surviving paths, the first-passage
+estimator once over the whole horizon.
 
 Replications run in fixed-size blocks, each drawing from a substream
 derived from the seed and the block index. The same seed and replication
@@ -124,8 +124,8 @@ def _advance(
     meaningful up to its failure time. Between shocks each component takes
     one gamma increment; a crossing inside that quiet stretch is located by
     bisection, each midpoint level an exact beta-bridge draw, until its
-    bracket is at most sub_step wide, so it is reported late by less than
-    one sub-step and never early.
+    bracket is at most sub_step wide or too narrow to split, so it is
+    reported late by at most max(sub_step, one ulp of t) and never early.
     """
     fail = np.full(levels.shape[1], np.inf)
     hard = np.zeros(levels.shape[1], dtype=bool)
@@ -147,7 +147,12 @@ def _advance(
             wide = np.flatnonzero(hi - lo > sub_step)
             while wide.size:
                 mid = 0.5 * (lo[wide] + hi[wide])
-                frac = rng.beta(c.alpha * (mid - lo[wide]), c.alpha * (hi[wide] - mid))
+                left, right = c.alpha * (mid - lo[wide]), c.alpha * (hi[wide] - mid)
+                if min(left.min(), right.min()) <= 0.0:
+                    # a bracket too narrow to split (one ulp of t) counts as resolved
+                    split = (left > 0.0) & (right > 0.0)
+                    wide, mid, left, right = wide[split], mid[split], left[split], right[split]
+                frac = rng.beta(left, right)
                 x_mid = x_lo[wide] + (x_hi[wide] - x_lo[wide]) * frac
                 above = x_mid >= limits[i]
                 hi[wide[above]], x_hi[wide[above]] = mid[above], x_mid[above]

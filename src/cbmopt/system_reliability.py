@@ -62,21 +62,25 @@ def series_survival(
 def series_survival_over_times(
     model: SystemModel,
     times,
-    thresholds: Sequence[float],
+    thresholds,
     trunc: TruncationConfig | None = None,
 ) -> np.ndarray:
     """series_survival on an array of times, batched for speed.
 
-    The shock-count cutoff is taken at the largest time, which only adds
-    terms for the smaller ones; each component contributes one block of
-    convolution CDFs over the whole (shock count, time) grid.
+    thresholds of shape (C,) give survival of shape (T,), and L rows of
+    shape (L, C) give (L, T). The shock-count cutoff is taken at the
+    largest time, which only adds terms for the smaller ones; each component
+    contributes one block of convolution CDFs over the whole (level, shock
+    count, time) grid, so extra rows add no mixture loop.
     """
     t = np.asarray(times, dtype=float)
+    single = np.ndim(thresholds) == 1
     if t.size == 0:
-        return np.zeros(0)
+        return np.zeros(0) if single else np.zeros((len(thresholds), 0))
     if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise DomainError("times must be finite and >= 0")
-    values = as_thresholds(model, thresholds)
+    rows = [thresholds] if single else thresholds
+    values = np.array([as_thresholds(model, row) for row in rows]).reshape(-1, model.n)
     mu = model.lam * t
     n_terms = len(poisson_weights(float(mu.max()), trunc))
     weights = np.empty((n_terms, t.size))
@@ -84,11 +88,12 @@ def series_survival_over_times(
     for m in range(1, n_terms):
         weights[m] = weights[m - 1] * mu / m
     factors = weights
-    for c, v in zip(model.components, values):
-        block = threshold_cdf_block(c, v, t, n_terms - 1)
+    for i, c in enumerate(model.components):
+        block = threshold_cdf_block(c, values[:, i], t, n_terms - 1)
         survive_powers = shock_survival_prob(c) ** np.arange(n_terms)
         factors = factors * survive_powers[:, None] * block
-    return np.clip(factors.sum(axis=0), 0.0, 1.0)
+    survival = np.clip(factors.sum(axis=-2), 0.0, 1.0)
+    return survival[0] if single else survival
 
 
 def failure_time_cdf(

@@ -30,7 +30,6 @@ from cbmopt.maintenance_policy import (
     CostParams,
     Policy,
     cost_rate,
-    expected_cycle_length,
     expected_downtime,
     expected_inspections,
 )
@@ -119,10 +118,9 @@ def test_criterion_1_property_suite():
             h2=tuple(float(rng.uniform(0.3, 0.9)) * c.h1 for c in model.components),
         )
         e_ni = expected_inspections(model, policy)
-        assert expected_cycle_length(model, policy) == pytest.approx(
-            policy.tau * e_ni, rel=1e-9
-        )
-        base = cost_rate(model, policy, CostParams(1.4, 230.0, 75.0)).cr
+        base_breakdown = cost_rate(model, policy, CostParams(1.4, 230.0, 75.0))
+        assert base_breakdown.e_k == pytest.approx(policy.tau * e_ni, rel=1e-9)
+        base = base_breakdown.cr
         scaled = cost_rate(model, policy, CostParams(4.2, 690.0, 225.0)).cr
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 

@@ -273,6 +273,18 @@ class TestThresholdCdfBlock:
         with pytest.raises(TruncationCapError):
             threshold_cdf_block(c, 10001.0, np.array([100.0]), 1)
 
+    @pytest.mark.parametrize("wear_is_slow", [True, False])
+    def test_level_axis_matches_scalar_calls(self, wear_is_slow):
+        rates = (0.4, 0.9) if wear_is_slow else (0.9, 0.4)
+        c = ComponentParams("levels", 8.0, 2.0, 0.5, rates[0], 0.8, rates[1], 1.0, 0.5)
+        levels = np.array([0.0, 0.3 * c.h1, c.h1])
+        times = np.array([0.0, 5e-324, 2.0, 6.4, 20.0])
+        block = threshold_cdf_block(c, levels, times, 8)
+        assert block.shape == (3, 9, 5)
+        for row, x in zip(block, levels):
+            assert np.max(np.abs(row - threshold_cdf_block(c, x, times, 8))) <= 1e-15
+        assert np.all(block[0, 1:] == 0.0)
+
     def test_beyond_the_term_cap_raises_quickly(self):
         # rate ratio 1e-3 at wear shape 1e3: the mixture weights spread over
         # about 3e4 terms per standard deviation
@@ -401,6 +413,22 @@ class TestEventProbabilities:
     def test_rejects_h2_above_h1(self):
         with pytest.raises(DomainError):
             event_probabilities(SANE, 0.1, 1.0, SANE.h1 * 1.01)
+
+    @pytest.mark.parametrize(
+        "component, lam, t, h2, expected",
+        [
+            (SANE, 0.08, 4.0, 5.0,
+             (0.55578683305291898, 0.24733418640850374, 0.19687898053857728)),
+            (SANE, 0.2, 12.0, 2.0,
+             (3.3722766859563081e-05, 0.047502472604550094, 0.95246380462859037)),
+            (COMP_12, BENCH_LAMBDA, 0.002, 0.0003055,
+             (0.98786401031655857, 0.00195012266389543, 0.010185867019545998)),
+        ],
+    )
+    def test_frozen_values(self, component, lam, t, h2, expected):
+        # frozen at 17 digits from a version that made one block call per level
+        p = event_probabilities(component, lam, t, h2)
+        assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @given(

@@ -19,7 +19,6 @@ from cbmopt.maintenance_policy import (
     Policy,
     SeriesTailConfig,
     cost_rate,
-    expected_cycle_length,
     expected_downtime,
     expected_inspections,
 )
@@ -105,9 +104,11 @@ class TestExpectedInspections:
 
 
 class TestCycleLength:
+    # the expected cycle length is cost_rate's e_k
     def test_zero_thresholds(self, model):
         policy = Policy(tau=9.0, h2=(0.0,) * model.n)
-        assert expected_cycle_length(model, policy) == pytest.approx(9.0, abs=1e-11)
+        e_k = cost_rate(model, policy, CostParams(1.0, 1.0, 1.0)).e_k
+        assert e_k == pytest.approx(9.0, abs=1e-11)
 
     def test_identity_with_inspections(self, model):
         rng = np.random.default_rng(12)
@@ -117,7 +118,7 @@ class TestCycleLength:
                 h2=tuple(float(rng.uniform(0.3, 0.95)) * c.h1 for c in model.components),
             )
             e_ni = expected_inspections(model, policy)
-            e_k = expected_cycle_length(model, policy)
+            e_k = cost_rate(model, policy, CostParams(1.0, 1.0, 1.0)).e_k
             assert e_k == pytest.approx(policy.tau * e_ni, rel=1e-9)
 
 
@@ -197,6 +198,30 @@ class TestCostRate:
     def test_zero_costs_zero_rate(self, model):
         policy = Policy(tau=5.0, h2=tuple(0.7 * c.h1 for c in model.components))
         assert cost_rate(model, policy, CostParams(0.0, 0.0, 0.0)).cr == 0.0
+
+    @pytest.mark.parametrize(
+        "case, tau, expected",
+        [
+            # table 2, h2 at half of h1: ladders of 206 and 101 inspection epochs
+            ("table2", 0.004, (10.866207890558453, 9.3197335948154436e-05, 2593.5946501509447)),
+            ("table2", 0.0082, (5.5691687076236551, 0.00039667134477322768, 2485.4301742822158)),
+            # random systems, h2 at 0.6 of h1: 12 and 15 epochs, past the first batch of 8
+            ((3, 3), 1.0, (2.8183070474332097, 0.070742627481667264, 36.916167593126325)),
+            ((4, 2), 1.0, (4.0951643431689799, 0.04919593814888587, 24.139188932119421)),
+        ],
+    )
+    def test_frozen_values(self, case, tau, expected):
+        # e_ni, e_rho and cr frozen at 17 digits from a version that took
+        # the detection and the failure CDF from separate survival passes
+        if case == "table2":
+            system, costs, frac = table2_system(), CostParams(1.0, 20000.0, 100.0), 0.5
+        else:
+            seed, n = case
+            system = random_system(np.random.default_rng(seed), n)
+            costs, frac = CostParams(1.0, 300.0, 80.0), 0.6
+        policy = Policy(tau=tau, h2=tuple(frac * c.h1 for c in system.components))
+        b = cost_rate(system, policy, costs)
+        assert (b.e_ni, b.e_rho, b.cr) == pytest.approx(expected, rel=1e-10)
 
     def test_shared_ladder_matches_public_views(self):
         # cost_rate builds the detection ladder once for both expectations;

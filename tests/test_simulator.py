@@ -7,12 +7,7 @@ import pytest
 
 from cbmopt.errors import DomainError, HorizonCapError
 from cbmopt.failure_model import ComponentParams, SystemModel
-from cbmopt.maintenance_policy import (
-    CostParams,
-    Policy,
-    cost_rate,
-    expected_cycle_length,
-)
+from cbmopt.maintenance_policy import CostParams, Policy, cost_rate
 from cbmopt.simulator import (
     _BLOCK,
     SimulationConfig,
@@ -146,7 +141,7 @@ class TestEstimateCostRate:
         est = estimate_cost_rate(
             model, policy, costs, SimulationConfig(replications=20_000, seed=7)
         )
-        analytic = 100.0 / expected_cycle_length(model, policy)
+        analytic = cost_rate(model, policy, costs).cr
         assert abs(est.mean_cr - analytic) < 3.0 * est.stderr_cr
 
     def test_unambiguous_regime_full_agreement(self, model):
@@ -239,6 +234,16 @@ class TestFirstPassage:
         cdf_before = 1.0 - series_survival_over_times(model, earlier, model.h1_vector)
         assert np.all(empirical <= cdf + eps)
         assert np.all(empirical >= cdf_before - eps)
+
+    def test_sub_step_below_float_spacing(self, model):
+        # brackets stop halving at one ulp of t and count as resolved there
+        grid = np.linspace(0.0, 25.0, 11)
+        config = SimulationConfig(replications=200, seed=0, sub_step=1e-300)
+        values = np.array([v for _, v in empirical_first_passage_cdf(
+            model, model.h1_vector, config, grid
+        )])
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(np.diff(values) >= 0.0)
 
     def test_grid_validation(self, model):
         config = SimulationConfig(replications=10, seed=0)

@@ -17,6 +17,7 @@ from cbmopt.system_reliability import (
     failure_time_cdf,
     reliability_curve,
     series_survival,
+    series_survival_over_times,
 )
 
 from conftest import random_component, random_system
@@ -99,6 +100,24 @@ class TestSeriesSurvival:
                 for c, v in zip(sane_system.components, thresholds)
             ]
             assert r_series <= min(singles) + 1e-10
+
+
+    def test_stacked_rows_match_single_rows(self, sane_system):
+        times = np.array([0.0, 5e-324, 1.5, 6.0, 30.0])
+        h1 = sane_system.h1_vector
+        h2 = tuple(0.4 * v for v in h1)
+        stacked = series_survival_over_times(sane_system, times, [h2, h1])
+        assert stacked.shape == (2, times.size)
+        for row, thresholds in zip(stacked, (h2, h1)):
+            single = series_survival_over_times(sane_system, times, thresholds)
+            assert np.max(np.abs(row - single)) <= 1e-15
+        assert series_survival_over_times(sane_system, [], [h2, h1]).shape == (2, 0)
+        assert series_survival_over_times(sane_system, times, np.zeros((0, 3))).shape == (0, 5)
+
+    def test_every_stacked_row_is_validated(self, sane_system):
+        bad = [1.5 * c.h1 for c in sane_system.components]
+        with pytest.raises(DomainError, match=r"thresholds\[0\]"):
+            series_survival_over_times(sane_system, [1.0], [sane_system.h1_vector, bad])
 
 
 class TestFirstPassageCdfs:
