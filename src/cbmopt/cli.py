@@ -34,6 +34,7 @@ from .maintenance_policy import (
 )
 from .optimizer import OptimizerConfig, optimize_fixed_tau, optimize_policy
 from .simulator import (
+    CycleOutcome,
     SimulationConfig,
     empirical_first_passage_cdf,
     estimate_from_outcomes,
@@ -421,7 +422,7 @@ def cmd_evaluate(config: RunConfig) -> dict:
     if sim is not None and sim.replications > 1:
         outcomes = simulate_many(config.system, config.policy, sim)
         estimate = estimate_from_outcomes(outcomes, config.costs)
-        downtimes = np.array([o.downtime for o in outcomes])
+        downtimes = np.array(CycleOutcome._make(zip(*outcomes)).downtime)
         downtime_stderr = float(downtimes.std(ddof=1) / math.sqrt(downtimes.size))
         outputs["simulation"] = _estimate_dict(estimate)
         outputs["cr_gap"] = breakdown.cr - estimate.mean_cr

@@ -3,13 +3,14 @@
 One vectorized engine, _advance, moves a block of paths between two times.
 Shocks arrive after exponential gaps; between them each component takes
 one exact gamma increment. A crossing inside such a stretch is located by
-conditional bisection: given the levels at both ends, the level at the
-midpoint follows a beta-scaled bridge, and monotonicity of the path makes
-bisection find the same crossing point a dense grid would. Crossings are
-therefore resolved to the configured sub-step, or to one ulp of t where
-that is coarser, detected late but never early. The cycle simulator runs
-it once per inspection interval on the surviving paths, the first-passage
-estimator once over the whole horizon.
+conditional bisection: given the levels at both ends, the level at a split
+point follows a beta-scaled bridge, and monotonicity of the path makes
+bisection find the same crossing point a dense grid would. The cycle
+simulator runs it once per inspection interval on the surviving paths and
+halves each bracket down to the configured sub-step, so a failure is
+found late by at most max(sub_step, one ulp of t), never early. The
+first-passage estimator runs it once over the whole horizon and splits
+brackets at grid points only, so its curve is exact at every grid point.
 
 Replications run in fixed-size blocks, each drawing from a substream
 derived from the seed and the block index. The same seed and replication
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +49,9 @@ _BLOCK = 1 << 16  # replications per substream block in the vectorized engine
 class SimulationConfig:
     """Replication count, seeding, and crossing resolution.
 
-    sub_step = None resolves to tau/1024 when a policy is present and to
-    horizon/4096 for first-passage estimation.
+    sub_step is the cycle simulator's crossing resolution; None resolves to
+    tau/1024. First-passage curves do not use it: they are exact at their
+    grid points.
     """
 
     replications: int = 100_000
@@ -66,9 +70,9 @@ class SimulationConfig:
             raise DomainError("horizon_cap must be at least 1")
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
-    """What one renewal cycle did."""
+class CycleOutcome(NamedTuple):
+    """What one renewal cycle did: a named tuple, so a list of them
+    transposes into columns with zip(*outcomes)."""
 
     inspections: int
     cycle_length: float
@@ -108,6 +112,54 @@ def _blocks(config: SimulationConfig):
         yield _substream(config.seed, block), min(_BLOCK, config.replications - start)
 
 
+def _bisect(alpha, limit, rng, lo, hi, x_lo, x_hi, sub_step, grid):
+    """Right ends of the crossing brackets (lo, hi] after conditional bisection.
+
+    The level x_lo at lo is below limit and x_hi at hi is not; the level at
+    a split point is an exact beta-bridge draw between them. Without grid a
+    bracket is halved while it is wider than sub_step; with grid (strictly
+    increasing) it is split at its middle grid point strictly inside while
+    one is left. A bracket too narrow to split, its beta shapes not both
+    positive (one ulp of t), counts as resolved. The live brackets stay compacted in their original order, so
+    each round draws one beta per live bracket, in bracket order.
+    """
+    out = hi.copy()
+    at = np.arange(hi.size)
+    if grid is None:
+        keep = hi - lo > sub_step
+    else:
+        # grid points a .. b-1 lie strictly inside (lo, hi)
+        a = np.searchsorted(grid, lo, side="right")
+        b = np.searchsorted(grid, hi, side="left")
+        keep = a < b
+    while True:
+        if not keep.all():
+            out[at[~keep]] = hi[~keep]
+            at, lo, hi, x_lo, x_hi = at[keep], lo[keep], hi[keep], x_lo[keep], x_hi[keep]
+            if grid is not None:
+                a, b = a[keep], b[keep]
+        if not at.size:
+            return out
+        if grid is None:
+            mid = 0.5 * (lo + hi)
+        else:
+            m = (a + b) // 2
+            mid = grid[m]
+        left, right = alpha * (mid - lo), alpha * (hi - mid)
+        if min(left.min(), right.min()) <= 0.0:
+            keep = (left > 0.0) & (right > 0.0)
+            continue
+        x_mid = x_lo + (x_hi - x_lo) * rng.beta(left, right)
+        above = x_mid >= limit
+        lo, x_lo = np.where(above, lo, mid), np.where(above, x_lo, x_mid)
+        hi, x_hi = np.where(above, mid, hi), np.where(above, x_mid, x_hi)
+        if grid is None:
+            keep = hi - lo > sub_step
+        else:
+            a, b = np.where(above, a, m + 1), np.where(above, m, b)
+            keep = a < b
+
+
 def _advance(
     model: SystemModel,
     levels: np.ndarray,
@@ -115,7 +167,8 @@ def _advance(
     rng: np.random.Generator,
     t0: float,
     t1: float,
-    sub_step: float,
+    sub_step: float | None,
+    grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the paths in the columns of levels from t0 to t1 in place.
 
@@ -123,9 +176,9 @@ def _advance(
     none, and whether that failure was hard. A path's levels are only
     meaningful up to its failure time. Between shocks each component takes
     one gamma increment; a crossing inside that quiet stretch is located by
-    bisection, each midpoint level an exact beta-bridge draw, until its
-    bracket is at most sub_step wide or too narrow to split, so it is
-    reported late by at most max(sub_step, one ulp of t) and never early.
+    _bisect. Without grid it is reported late by at most max(sub_step, one
+    ulp of t) and never early. With grid the reported time is at most a
+    grid point exactly when the crossing is, and sub_step is unused.
     """
     fail = np.full(levels.shape[1], np.inf)
     hard = np.zeros(levels.shape[1], dtype=bool)
@@ -143,21 +196,10 @@ def _advance(
             after = before + rng.gamma(c.alpha * (end - t), 1.0 / c.beta)
             levels[i, paths] = after
             hit = np.flatnonzero((before < limits[i]) & (after >= limits[i]))
-            lo, hi, x_lo, x_hi = t[hit], end[hit], before[hit], after[hit]
-            wide = np.flatnonzero(hi - lo > sub_step)
-            while wide.size:
-                mid = 0.5 * (lo[wide] + hi[wide])
-                left, right = c.alpha * (mid - lo[wide]), c.alpha * (hi[wide] - mid)
-                if min(left.min(), right.min()) <= 0.0:
-                    # a bracket too narrow to split (one ulp of t) counts as resolved
-                    split = (left > 0.0) & (right > 0.0)
-                    wide, mid, left, right = wide[split], mid[split], left[split], right[split]
-                frac = rng.beta(left, right)
-                x_mid = x_lo[wide] + (x_hi[wide] - x_lo[wide]) * frac
-                above = x_mid >= limits[i]
-                hi[wide[above]], x_hi[wide[above]] = mid[above], x_mid[above]
-                lo[wide[~above]], x_lo[wide[~above]] = mid[~above], x_mid[~above]
-                wide = wide[hi[wide] - lo[wide] > sub_step]
+            hi = _bisect(
+                c.alpha, limits[i], rng, t[hit], end[hit], before[hit], after[hit],
+                sub_step, grid,
+            )
             crossed[hit] = np.minimum(crossed[hit], hi)
         fail[paths] = crossed
         # a wear crossing comes before the shock that ends its stretch
@@ -176,6 +218,9 @@ def _advance(
         hard[paths[failed]] = lethal[failed]
         paths, t = paths[~failed], t[~failed]
     return fail, hard
+
+
+_KINDS = np.array(["soft", "hard", "none"], dtype=object)
 
 
 def simulate_many(
@@ -214,18 +259,19 @@ def simulate_many(
             done = failed | (levels >= h2).any(axis=0)
             inspections[paths[done]] = k
             paths, levels = paths[~done], levels[:, ~done]
-        for k, t_f, is_hard in zip(inspections.tolist(), fail.tolist(), hard.tolist()):
-            preventive = t_f == math.inf
-            outcomes.append(
-                CycleOutcome(
-                    inspections=k,
-                    cycle_length=k * tau,
-                    downtime=0.0 if preventive else k * tau - t_f,
-                    ended_preventively=preventive,
-                    failure_time=None if preventive else t_f,
-                    failure_kind="none" if preventive else ("hard" if is_hard else "soft"),
-                )
-            )
+        preventive = np.isinf(fail)
+        lengths = inspections * tau
+        failure_time = fail.astype(object)
+        failure_time[preventive] = None
+        # tuple.__new__ builds each record without _make's length check
+        outcomes += map(partial(tuple.__new__, CycleOutcome), zip(
+            inspections.tolist(),
+            lengths.tolist(),
+            np.where(preventive, 0.0, lengths - fail).tolist(),
+            preventive.tolist(),
+            failure_time.tolist(),
+            _KINDS[np.where(preventive, 2, hard)].tolist(),
+        ))
     return outcomes
 
 
@@ -248,9 +294,12 @@ def estimate_from_outcomes(
     outcomes: list[CycleOutcome], costs: CostParams
 ) -> SimulationEstimate:
     """Cost-rate estimate from already-simulated cycles."""
-    inspections = np.array([o.inspections for o in outcomes], dtype=float)
-    downtime = np.array([o.downtime for o in outcomes])
-    lengths = np.array([o.cycle_length for o in outcomes])
+    if not outcomes:
+        raise DomainError("outcomes must not be empty")
+    columns = CycleOutcome._make(zip(*outcomes))
+    inspections = np.array(columns.inspections, dtype=float)
+    downtime = np.array(columns.downtime)
+    lengths = np.array(columns.cycle_length)
     total_cost = costs.c_i * inspections + costs.c_rho * downtime + costs.c_r
     rate = float(total_cost.sum() / lengths.sum())
     n = len(outcomes)
@@ -270,7 +319,7 @@ def estimate_from_outcomes(
             cycle_length=float(lengths.mean()),
             total_cost=float(total_cost.mean()),
         ),
-        preventive_fraction=float(np.mean([o.ended_preventively for o in outcomes])),
+        preventive_fraction=float(np.mean(columns.ended_preventively)),
     )
 
 
@@ -284,25 +333,28 @@ def empirical_first_passage_cdf(
 
     Vectorized across replications in fixed-size blocks; paths that never
     cross within the grid horizon are right-censored and simply never count.
+    Each crossing is bisected at grid points only, until none is left inside
+    its bracket, so a path counts at a grid point exactly when it has
+    crossed by then: the curve carries sampling error alone, and
+    config.sub_step plays no part.
     """
     values = as_thresholds(model, thresholds)
     grid = [float(t) for t in t_grid]
     if not grid:
         raise DomainError("t_grid must not be empty")
-    previous = None
-    for t in grid:
-        if t < 0.0 or (previous is not None and t < previous):
-            raise DomainError("t_grid must be nonnegative and nondecreasing")
-        previous = t
+    if not all(math.isfinite(t) for t in grid):
+        raise DomainError("t_grid must be finite")
+    if grid[0] < 0.0 or any(b < a for a, b in zip(grid, grid[1:])):
+        raise DomainError("t_grid must be nonnegative and nondecreasing")
     horizon = grid[-1]
     if horizon == 0.0:
         return [(t, 0.0) for t in grid]
-    sub_step = config.sub_step if config.sub_step is not None else horizon / 4096.0
     grid_arr = np.array(grid)
+    points = np.unique(grid_arr)
     counts_leq = np.zeros(len(grid), dtype=np.int64)
     for rng, size in _blocks(config):
         cross, _ = _advance(
-            model, np.zeros((model.n, size)), values, rng, 0.0, horizon, sub_step
+            model, np.zeros((model.n, size)), values, rng, 0.0, horizon, None, points
         )
         counts_leq += np.searchsorted(np.sort(cross), grid_arr, side="right")
     return [

@@ -13,6 +13,7 @@ from cbmopt.simulator import (
     SimulationConfig,
     empirical_first_passage_cdf,
     estimate_cost_rate,
+    estimate_from_outcomes,
     simulate_many,
 )
 from cbmopt.system_reliability import series_survival_over_times
@@ -87,6 +88,25 @@ class TestSimulateCycle:
         config = SimulationConfig(replications=1, seed=3, horizon_cap=20)
         with pytest.raises(HorizonCapError):
             simulate_many(model, policy, config)
+
+    def test_frozen_draws(self):
+        # values of the pre-compaction engine at 17 digits, on a shock-heavy
+        # system where cycles span several inspections and each soft failure
+        # takes up to ten bisection rounds: any change in the order or number
+        # of draws moves them
+        base = random_system(np.random.default_rng(2024), 3)
+        model = SystemModel(components=base.components, lam=0.5)
+        policy = Policy(tau=2.0, h2=tuple(0.9 * c.h1 for c in model.components))
+        outcomes = simulate_many(model, policy, SimulationConfig(replications=3000, seed=5))
+        downtime = np.mean([o.downtime for o in outcomes])
+        inspections = np.mean([o.inspections for o in outcomes])
+        assert downtime == pytest.approx(0.53440936415455853, rel=1e-15)
+        assert inspections == pytest.approx(3.6216666666666666, rel=1e-15)
+        assert outcomes[:3] == [
+            (3, 6.0, 0.91481820712784145, False, 5.0851817928721585, "soft"),
+            (5, 10.0, 1.4286863887045023, False, 8.5713136112954977, "soft"),
+            (2, 4.0, 0.65355926020798405, False, 3.346440739792016, "soft"),
+        ]
 
     def test_partial_final_block(self, model):
         # block b draws from substream b, so the first block's cycles do not
@@ -179,6 +199,10 @@ class TestEstimateCostRate:
         )
         assert math.isnan(est.stderr_cr)
 
+    def test_no_outcomes(self):
+        with pytest.raises(DomainError):
+            estimate_from_outcomes([], CostParams(1.0, 1.0, 1.0))
+
     def test_preventive_fraction_bounds(self, model):
         est = estimate_cost_rate(
             model,
@@ -214,20 +238,57 @@ class TestFirstPassage:
         analytic = 1.0 - series_survival_over_times(model, grid, model.h1_vector)
         empirical = np.array([v for _, v in curve])
         ks = float(np.max(np.abs(empirical - analytic)))
-        assert ks < 1.63 / math.sqrt(n) + 0.002  # sampling band plus sub-step bias
+        assert ks < 1.63 / math.sqrt(n) + 0.002  # sampling band plus a fixed margin
 
-    def test_crossings_late_by_at_most_one_coarse_sub_step(self, model):
-        # with a sub-step of an eighth of the horizon the empirical CDF must
-        # sit between F(t - sub_step) and F(t), up to the DKW band
-        n, sub_step = 20_000, 25.0 / 8.0
-        grid = np.linspace(0.0, 25.0, 51)
-        curve = empirical_first_passage_cdf(
-            model,
-            model.h1_vector,
-            SimulationConfig(replications=n, seed=43, sub_step=sub_step),
-            grid,
+    def test_exact_at_grid_points_whatever_the_sub_step(self, model):
+        # crossings are bisected at grid points only, so even a sub-step of
+        # an eighth of the horizon leaves the curve inside the DKW band of
+        # F(t) itself, with no lateness slack, and changes no value
+        n, horizon = 200_000, 25.0
+        grid = np.linspace(0.0, horizon, 51)
+        curves = [
+            np.array([v for _, v in empirical_first_passage_cdf(
+                model, model.h1_vector,
+                SimulationConfig(replications=n, seed=43, sub_step=sub_step), grid,
+            )])
+            for sub_step in (horizon / 8.0, None)
+        ]
+        np.testing.assert_array_equal(curves[0], curves[1])
+        cdf = 1.0 - series_survival_over_times(model, grid, model.h1_vector)
+        assert np.max(np.abs(curves[0] - cdf)) < dkw_epsilon(n)
+
+    def test_repeated_grid_points(self, model):
+        config = SimulationConfig(replications=2_000, seed=6)
+        grid = [0.0, 5.0, 5.0, 10.0, 20.0, 20.0]
+        curve = empirical_first_passage_cdf(model, model.h1_vector, config, grid)
+        distinct = empirical_first_passage_cdf(
+            model, model.h1_vector, config, sorted(set(grid))
         )
-        empirical = np.array([v for _, v in curve])
+        assert [t for t, _ in curve] == grid
+        assert dict(curve) == dict(distinct)
+
+    def test_grid_validation(self, model):
+        config = SimulationConfig(replications=10, seed=0)
+        for grid in ([2.0, 1.0], [], [-1.0, 1.0], [math.nan, 1.0], [0.0, math.inf]):
+            with pytest.raises(DomainError):
+                empirical_first_passage_cdf(model, model.h1_vector, config, grid)
+
+
+class TestCrossingResolution:
+    """sub_step sets how finely simulate_many locates a failure."""
+
+    def test_failures_never_early_and_at_most_one_sub_step_late(self, model):
+        # with h2 = h1 every cycle ends at the inspection after its failure,
+        # so the failure times are draws of the first-passage time: their
+        # empirical CDF must sit between F(t - sub_step) and F(t), up to the
+        # DKW band, with a sub-step as coarse as half the interval
+        n, tau = 20_000, 5.0
+        sub_step = tau / 2.0
+        policy = Policy(tau=tau, h2=model.h1_vector)
+        config = SimulationConfig(replications=n, seed=43, sub_step=sub_step)
+        failures = np.sort([o.failure_time for o in simulate_many(model, policy, config)])
+        grid = np.linspace(0.0, 25.0, 51)
+        empirical = np.searchsorted(failures, grid, side="right") / n
         eps = dkw_epsilon(n)
         cdf = 1.0 - series_survival_over_times(model, grid, model.h1_vector)
         earlier = np.maximum(grid - sub_step, 0.0)
@@ -237,20 +298,13 @@ class TestFirstPassage:
 
     def test_sub_step_below_float_spacing(self, model):
         # brackets stop halving at one ulp of t and count as resolved there
-        grid = np.linspace(0.0, 25.0, 11)
+        policy = make_policy(model)
         config = SimulationConfig(replications=200, seed=0, sub_step=1e-300)
-        values = np.array([v for _, v in empirical_first_passage_cdf(
-            model, model.h1_vector, config, grid
-        )])
-        assert np.all((values >= 0.0) & (values <= 1.0))
-        assert np.all(np.diff(values) >= 0.0)
-
-    def test_grid_validation(self, model):
-        config = SimulationConfig(replications=10, seed=0)
-        with pytest.raises(DomainError):
-            empirical_first_passage_cdf(model, model.h1_vector, config, [2.0, 1.0])
-        with pytest.raises(DomainError):
-            empirical_first_passage_cdf(model, model.h1_vector, config, [])
+        outcomes = simulate_many(model, policy, config)
+        assert any(not o.ended_preventively for o in outcomes)
+        for o in outcomes:
+            assert o.cycle_length == o.inspections * policy.tau
+            assert 0.0 <= o.downtime < policy.tau
 
 
 class TestBridgeRefinement:
