@@ -211,42 +211,51 @@ def _cdfs_by_shock_count(c: ComponentParams, x, t: float, max_m: int) -> np.ndar
         raise DomainError(f"x must be finite and >= 0, got {x}")
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    return threshold_cdf_block(c, levels, np.array([float(t)]), max_m)[..., 0]
+    block = threshold_cdf_block(c, levels[..., None], np.array([float(t)]), max_m)
+    return np.moveaxis(block[..., 0], 0, -1)
 
 
 def threshold_cdf_block(c: ComponentParams, x, times, max_m: int) -> np.ndarray:
     """threshold_cdf_given_m for every m = 0..max_m and every time at once.
 
-    x is one level or an array of levels; the result has shape
-    x.shape + (max_m + 1, len(times)). The m = 0 row is the wear CDF alone
-    and the t = 0 columns the jump-sum CDF alone; every other cell is the
-    exact gamma-sum mixture of _gamma_sum_cdf, one loop for all levels.
+    times is one-dimensional, and the levels x broadcast against it: one
+    level, one level per time, or levels of shape (L, 1) to take L levels
+    at every time. The result has shape (max_m + 1,) followed by the
+    broadcast shape of x and times. The m = 0 row is the wear CDF alone and
+    the t = 0 columns the jump-sum CDF alone; every other cell is the exact
+    gamma-sum mixture of _gamma_sum_cdf, one loop for all of them.
     """
     t = np.asarray(times, dtype=float)
-    flat = np.asarray(x, dtype=float).reshape(-1, 1, 1)
-    out = np.empty((flat.shape[0], max_m + 1, t.size))
+    x = np.asarray(x, dtype=float)
+    out = np.empty((max_m + 1,) + np.broadcast(x, t).shape)
     # no wear yet where the wear shape alpha * t is zero or subnormal
     at_zero = negligible_shape(c.alpha * t)
+    worn = ~at_zero
+
+    def levels(columns):  # x at the chosen times, where x varies with time
+        return x[..., columns] if x.ndim and x.shape[-1] == t.size else x
+
     # wear-only row: the degenerate shape is the point mass at zero
-    out[:, 0, at_zero] = 1.0
-    out[:, 0, ~at_zero] = np.clip(
-        special.gammainc(c.alpha * t[~at_zero], c.beta * flat[:, 0]), 0.0, 1.0
+    out[0][..., at_zero] = 1.0
+    out[0][..., worn] = np.clip(
+        special.gammainc(c.alpha * t[worn], c.beta * levels(worn)), 0.0, 1.0
     )
     if max_m > 0:
-        jump_shapes = np.arange(1, max_m + 1)[:, None] * c.y_alpha
+        jump_shapes = np.arange(1, max_m + 1).reshape((-1,) + (1,) * (out.ndim - 1)) * c.y_alpha
         # no wear yet at t = 0, only the jump sum
-        out[:, 1:, at_zero] = special.gammainc(jump_shapes, c.y_beta * flat)
-        t_pos = t[~at_zero]
-        if t_pos.size:
-            mixture = _gamma_sum_cdf(c.alpha * t_pos[None, :], c.beta, jump_shapes, c.y_beta, flat)
-            out[:, 1:, ~at_zero] = np.clip(mixture, 0.0, 1.0)
-    return out.reshape(np.shape(x) + out.shape[1:])
+        out[1:, ..., at_zero] = special.gammainc(jump_shapes, c.y_beta * levels(at_zero))
+        if worn.any():
+            mixture = _gamma_sum_cdf(
+                c.alpha * t[worn], c.beta, jump_shapes, c.y_beta, levels(worn)
+            )
+            out[1:, ..., worn] = np.clip(mixture, 0.0, 1.0)
+    return out
 
 
 def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndarray:
     """P(A + B <= x) for independent A ~ gamma(shape_a, rate_a) and
-    B ~ gamma(shape_b, rate_b), with positive shape arrays that broadcast
-    together and levels x >= 0 on leading axes of their own.
+    B ~ gamma(shape_b, rate_b), with positive shape arrays and levels
+    x >= 0 that all broadcast together.
 
     The law with the slower rate r_s is an exact negative-binomial mixture
     of gammas with the faster rate r_f (Moschopoulos, Ann. Inst. Stat.
@@ -260,12 +269,12 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndar
     underflows once a_s |ln p| exceeds about 745; so is d, which can rise
     from below the double range to order one along the sum.
 
-    Only z, and with it P and d, carry the level axis: the weights, their
-    ratios and the tail bounds depend on the slow shape alone, so every
-    level shares one loop. Those small arrays are computed a chunk of terms
-    at a time, the log weights as running sums of the log ratios (the same
-    additions as term by term), and the loop over terms keeps only the
-    full-array recurrence. A level x = 0 gives exactly 0.
+    Only z, and with it P and d, depend on the levels: the weights, their
+    ratios and the tail bounds depend on the slow shape alone, so levels on
+    an axis of their own share one loop. Those small arrays are computed a
+    chunk of terms at a time, the log weights as running sums of the log
+    ratios (the same additions as term by term), and the loop over terms
+    keeps only the full-array recurrence. A level x = 0 gives exactly 0.
 
     The sum stops before term k once P(a + k, z) min(1, w_k / (1 - rho))
     <= _MIXTURE_EPS in every cell, rho being the largest ratio w_{j+1} / w_j
@@ -290,8 +299,7 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndar
         return special.gammainc(s, z)
     q = 1.0 - p
     cdf = special.gammainc(s, z)
-    # math.log per level: numpy's vectorized log can differ from it in the last bit
-    log_z = np.array([math.log(v) if v > 0.0 else -math.inf for v in z.flat]).reshape(z.shape)
+    log_z = _log_levels(z)
     log_d = s * log_z - z - special.gammaln(s + 1.0)
     total = np.zeros_like(cdf)
     log_w = slow * math.log(p)
@@ -320,6 +328,27 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndar
         f"gamma-sum mixture needs more than {MIXTURE_TERM_CAP} terms "
         f"for rate ratio {p} and slow shapes up to {float(slow.max())}"
     )
+
+
+def _log_levels(z: np.ndarray) -> np.ndarray:
+    """math.log of each level, -inf at 0; numpy's vectorized log can differ
+    from it in the last bit.
+
+    Levels given one per time repeat a few values over long runs, so the
+    log is taken once per run there. Finding the runs costs about 4 us, more
+    than the logs of up to 32 levels, so smaller arrays (the empty one
+    among them) take the log of each level.
+    """
+    def logs(values):
+        return np.array([math.log(v) if v > 0.0 else -math.inf for v in values.tolist()])
+
+    flat = z.ravel()
+    if flat.size <= 32:
+        return logs(flat).reshape(z.shape)
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    return logs(flat[starts])[starts.cumsum() - 1].reshape(z.shape)
 
 
 def total_degradation_cdf(

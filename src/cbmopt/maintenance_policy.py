@@ -21,11 +21,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, TailCapError
 from .failure_model import SystemModel, TruncationConfig
-from .numerics import ToleranceConfig, adaptive_integrate
+from .numerics import (
+    ToleranceConfig,
+    kronrod_nodes,
+    kronrod_panels,
+    negligible_shape,
+    refine_panels,
+)
 from .system_reliability import as_thresholds, series_survival_over_times
+
+# unused here; perfbench/tracing.py wraps this module attribute by name
+from .numerics import adaptive_integrate  # noqa: F401
 
 __all__ = [
     "CostParams",
@@ -41,6 +51,10 @@ __all__ = [
 # time integral can run a digit looser than the library-wide quadrature
 # default
 _TIME_INTEGRAL_TOL = ToleranceConfig(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=60)
+# a ladder that the wear-only bound ends within this many epochs takes one
+# survival pass, which also carries the downtime integral's first
+# Gauss-Kronrod round on its intervals
+_FIRST_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -106,29 +120,55 @@ def validate_policy(model: SystemModel, policy: Policy) -> tuple[float, ...]:
     return as_thresholds(model, policy.h2)
 
 
+def _wear_bound_end(model: SystemModel, h2, tau: float, tail: SeriesTailConfig) -> int | None:
+    """An epoch k <= _FIRST_BATCH by which the ladder surely ends, or None.
+
+    Degradation is at least the wear, so the detection survival at k*tau is
+    at most the wear-only bound prod_i P(wear_i(k*tau) <= h2_i), and the
+    ladder ends by the first k where that bound is below the tail cutoff.
+    """
+    epochs = tau * np.arange(1, min(_FIRST_BATCH, tail.k_max_cap) + 1)
+    shapes = np.array([[c.alpha] for c in model.components]) * epochs
+    levels = np.array([[c.beta * h] for c, h in zip(model.components, h2)])
+    # a negligible wear shape is the point mass at zero, below any level
+    wear = np.where(negligible_shape(shapes), 1.0, special.gammainc(shapes, levels))
+    below = np.flatnonzero(wear.prod(axis=0) < tail.k_tail_eps)
+    return int(below[0]) + 1 if below.size else None
+
+
 def _cdf_ladder(
     model: SystemModel,
     policy: Policy,
     trunc: TruncationConfig | None,
     tail: SeriesTailConfig | None,
-) -> tuple[list[float], np.ndarray, float]:
+    nodes: bool = True,
+) -> tuple[list[float], np.ndarray, float, np.ndarray]:
     """Validate the policy and sample its detection-time CDF at 0, tau,
     2*tau, ... until the tail drops below the cutoff; raises TailCapError
     if that never happens within the cap.
 
-    Each batch of epochs is one survival pass over the rows [h2; h1], and
-    the first one also carries the probe time tau/128. Returns the ladder,
-    the failure-time CDF at the same epochs, and the failure-time CDF at
-    the probe, which _downtime_from_ladder needs.
+    Each batch of epochs is one survival pass at the levels h2 and h1. The
+    first also carries, at h1 only, the probe time tau/128. Where the
+    wear-only bound shows that the ladder ends within _FIRST_BATCH epochs,
+    the first batch holds exactly those epochs, and its pass also carries
+    the Gauss-Kronrod nodes of their intervals, so that the downtime
+    integral needs no pass of its own for its first round; nodes=False
+    leaves them out for callers that read only the ladder. Otherwise the
+    batches hold 8, 16, 32 and then 64 epochs, and no nodes: on a longer
+    ladder the downtime integral's own pass covers them at less cost.
+    Returns the ladder, the failure-time CDF at the same epochs, at the
+    probe, and at the nodes carried (one row of 15 per interval), which
+    _downtime_from_ladder needs.
     """
-    rows = (validate_policy(model, policy), model.h1_vector)
+    h2 = validate_policy(model, policy)
+    rows = np.array([h2, model.h1_vector])
     tau = policy.tau
     tail = tail or DEFAULT_TAIL
     ladder = [0.0]
     failure = [0.0]
     k = 0
-    batch = 8
-    first = [tau / 128.0]  # the probe time rides along with the first batch
+    end = _wear_bound_end(model, h2, tau, tail)
+    batch = end or 8
     while True:
         if k + 1 > tail.k_max_cap:
             raise TailCapError(
@@ -136,17 +176,27 @@ def _cdf_ladder(
                 f"(tail eps {tail.k_tail_eps}); the policy may never trigger"
             )
         ks = range(k + 1, min(k + batch, tail.k_max_cap) + 1)
-        times = np.array(first + [j * tau for j in ks])
-        cdfs = 1.0 - series_survival_over_times(model, times, rows, trunc)
-        if first:
-            probe = float(cdfs[1, 0])
-            cdfs, first = cdfs[:, 1:], []
+        epochs = np.array([j * tau for j in ks])
+        n = epochs.size
+        if k == 0:
+            # h2 and h1 at the epochs, then h1 alone at the probe and nodes
+            carried = ks if end and nodes else ks[:0]
+            lows = np.array([(j - 1) * tau for j in carried])
+            at = kronrod_nodes(lows, epochs[: len(carried)])
+            times = np.concatenate([epochs, epochs, [tau / 128.0], at.ravel()])
+            pairs = np.repeat(rows, [n, times.size - n], axis=0)
+            cdfs = 1.0 - series_survival_over_times(model, times[:, None], pairs, trunc)[:, 0]
+            probe = float(cdfs[2 * n])
+            first_round = cdfs[2 * n + 1 :].reshape(at.shape)
+            cdfs = cdfs[: 2 * n].reshape(2, n)
+        else:
+            cdfs = 1.0 - series_survival_over_times(model, epochs, rows, trunc)
         for f_k, f1_k in zip(cdfs[0], cdfs[1]):
             k += 1
             ladder.append(float(f_k))
             failure.append(f1_k)
             if 1.0 - f_k < tail.k_tail_eps:
-                return ladder, np.array(failure), probe
+                return ladder, np.array(failure), probe, first_round
         batch = min(batch * 2, 64)
 
 
@@ -165,7 +215,7 @@ def expected_inspections(
     tail: SeriesTailConfig | None = None,
 ) -> float:
     """Expected number of inspections in one renewal cycle."""
-    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail)[0])
+    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail, nodes=False)[0])
 
 
 def _downtime_from_ladder(
@@ -174,6 +224,7 @@ def _downtime_from_ladder(
     ladder: list[float],
     f1_at: np.ndarray,
     probe: float,
+    first_round: np.ndarray,
     trunc: TruncationConfig | None,
 ) -> float:
     """Sum over inspection intervals of the detection mass of interval k
@@ -185,8 +236,11 @@ def _downtime_from_ladder(
     series would amplify the truncation noise. The per-interval areas are
     evaluated together as one composite integral of the weight step
     function times the CDF, with mesh breakpoints at the inspection epochs,
-    so one refinement round covers many intervals at once. Intervals where
-    the CDF barely rises are provably negligible and are clipped off.
+    so one refinement round covers many intervals at once. The first
+    round's panels on the intervals of the ladder's first batch come from
+    first_round, the failure-time CDF at their nodes, so only the other
+    panels cost a survival pass. Intervals where the CDF barely rises are
+    provably negligible and are clipped off.
     """
     weights = np.diff(np.array(ladder))
     weights[-1] += 1.0 - ladder[-1]
@@ -199,11 +253,15 @@ def _downtime_from_ladder(
     k_first = int(significant[0]) + 1
     k_last = int(significant[-1]) + 1
 
-    def weighted_cdf(ts):
-        ts = np.asarray(ts, dtype=float)
-        cdf = 1.0 - series_survival_over_times(model, ts, model.h1_vector, trunc)
+    def failure_cdf(ts):
+        return 1.0 - series_survival_over_times(model, ts, model.h1_vector, trunc)
+
+    def weighted(ts, cdf):
         k_of_t = np.minimum((ts / tau).astype(int), kmax - 1)
         return weights[k_of_t] * cdf
+
+    def weighted_cdf(ts):
+        return weighted(ts, failure_cdf(ts)).reshape(1, -1)
 
     boundary = float(
         np.sum(weights[k_first - 1 : k_last] * f1_at[k_first - 1 : k_last])
@@ -212,16 +270,27 @@ def _downtime_from_ladder(
     chunk = 256
     for start in range(k_first, k_last + 1, chunk):
         stop = min(start + chunk - 1, k_last)
-        lo, hi = (start - 1) * tau, stop * tau
-        mesh = [k * tau for k in range(start, stop)]
+        edges = [k * tau for k in range(start - 1, stop + 1)]
         # the CDF may rise in a thin layer far below the first epoch; its
         # value at tau/128 decides whether to grade the mesh toward zero
-        if start == 1 and probe > 0.99:
-            mesh = [tau * 0.5**j for j in range(7, 28)] + mesh
-        value, _ = adaptive_integrate(
-            weighted_cdf, lo, hi, _TIME_INTEGRAL_TOL, breakpoints=mesh
-        )
-        area += value
+        graded = start == 1 and probe > 0.99
+        if graded:
+            edges = edges[:1] + [tau * 0.5**j for j in range(27, 6, -1)] + edges[1:]
+        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        nodes = kronrod_nodes(lo, hi)
+        # the panels that are whole intervals of the first batch are known
+        known = np.zeros(lo.size, dtype=bool)
+        whole = start + graded  # the first interval that is one panel
+        count = max(min(stop, len(first_round)) - whole + 1, 0)
+        skip = lo.size - (stop - whole + 1)  # the graded panels
+        known[skip : skip + count] = True
+        cdf = np.empty(nodes.shape)
+        cdf[known] = first_round[whole - 1 : whole - 1 + count]
+        if not known.all():
+            cdf[~known] = failure_cdf(nodes[~known].ravel()).reshape(-1, nodes.shape[1])
+        vals, errs = kronrod_panels(weighted(nodes, cdf).reshape(1, -1), lo, hi, 1)
+        value, _ = refine_panels(weighted_cdf, lo, hi, vals, errs, 1, _TIME_INTEGRAL_TOL)
+        area += float(value[0])
     return max(area - tau * boundary, 0.0)
 
 
@@ -233,8 +302,8 @@ def expected_downtime(
 ) -> float:
     """Expected downtime per cycle from the literal closed-form expression
     (see the module docstring for its caveat)."""
-    ladder, f1_at, probe = _cdf_ladder(model, policy, trunc, tail)
-    return _downtime_from_ladder(model, policy.tau, ladder, f1_at, probe, trunc)
+    ladder, *rest = _cdf_ladder(model, policy, trunc, tail)
+    return _downtime_from_ladder(model, policy.tau, ladder, *rest, trunc)
 
 
 def cost_rate(
@@ -247,9 +316,9 @@ def cost_rate(
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
     E[N_I] and E[rho] share one ladder of detection- and failure-CDF values."""
-    ladder, f1_at, probe = _cdf_ladder(model, policy, trunc, tail)
+    ladder, *rest = _cdf_ladder(model, policy, trunc, tail)
     e_ni = _inspections_from_ladder(ladder)
-    e_rho = _downtime_from_ladder(model, policy.tau, ladder, f1_at, probe, trunc)
+    e_rho = _downtime_from_ladder(model, policy.tau, ladder, *rest, trunc)
     e_k = policy.tau * e_ni
     e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
     return CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k)

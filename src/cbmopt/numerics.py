@@ -194,7 +194,27 @@ def adaptive_integrate_vector(
         return np.zeros(n_out), np.zeros(n_out)
 
     lo, hi = _initial_mesh(a, b, breakpoints)
-    vals, errs = _eval_panels(f, lo, hi, n_out)  # (P, n_out) each
+    vals, errs = _eval_panels(f, lo, hi, n_out)
+    return refine_panels(f, lo, hi, vals, errs, n_out, tol)
+
+
+def refine_panels(
+    f: Callable,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    vals: np.ndarray,
+    errs: np.ndarray,
+    n_out: int,
+    tol: ToleranceConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The refinement loop of adaptive_integrate_vector, from panels
+    [lo, hi] whose Kronrod values and error estimates, each of shape
+    (P, n_out), are already known (see kronrod_panels).
+
+    A caller that has the integrand at the Kronrod nodes of some initial
+    panels from other work passes them here instead of evaluating them
+    again; f is called only on the panels that refinement splits.
+    """
     budget = tol.max_subdivisions
     while True:
         totals = vals.sum(axis=0)
@@ -239,23 +259,30 @@ def adaptive_integrate_vector(
         errs = np.concatenate([errs[keep], new_errs])
 
 
-def _eval_panels(f: Callable, lo, hi, n_out):
-    """Kronrod rule for a vector-valued integrand on a batch of intervals.
-
-    Returns per-interval (integral, error estimate). The error heuristic
-    trusts the Gauss/Kronrod difference only when the integrand is smooth
-    relative to its own variation on the interval.
-    """
+def kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15 Gauss-Kronrod nodes of each panel [lo, hi], shape (P, 15)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = center[:, None] + half[:, None] * _GK_NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float)
-    if y.shape != (n_out, x.size):
+    return center[:, None] + half[:, None] * _GK_NODES[None, :]
+
+
+def kronrod_panels(y, lo: np.ndarray, hi: np.ndarray, n_out: int):
+    """Kronrod rule for a vector-valued integrand on a batch of panels.
+
+    y holds the integrand at kronrod_nodes(lo, hi), flattened, one row per
+    component: shape (n_out, 15 P). Returns per-panel (integral, error
+    estimate), each of shape (P, n_out). The error heuristic trusts the
+    Gauss/Kronrod difference only when the integrand is smooth relative to
+    its own variation on the panel.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n_out, 15 * lo.size):
         raise IntegrationError(
-            f"vector integrand returned shape {y.shape}, expected {(n_out, x.size)}"
+            f"vector integrand returned shape {y.shape}, expected {(n_out, 15 * lo.size)}"
         )
     if not np.all(np.isfinite(y)):
         raise IntegrationError("integrand returned a non-finite value")
+    half = 0.5 * (hi - lo)
     y = y.reshape(n_out, lo.size, 15)
     resk = half[None, :] * (y @ _GK_WEIGHTS_K)
     resg = half[None, :] * (y @ _GK_WEIGHTS_G)
@@ -266,3 +293,7 @@ def _eval_panels(f: Callable, lo, hi, n_out):
         scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (diff > 0.0), scaled, diff)
     return resk.T, err.T  # (P, n_out)
+
+
+def _eval_panels(f: Callable, lo, hi, n_out):
+    return kronrod_panels(f(kronrod_nodes(lo, hi).ravel()), lo, hi, n_out)

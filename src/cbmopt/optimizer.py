@@ -64,6 +64,8 @@ class OptimizerConfig:
         lo, hi = self.tau_bounds
         if not (0.0 < lo < hi):
             raise DomainError(f"tau_bounds must be ordered and positive, got {self.tau_bounds}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 DEFAULT_OPTIMIZER = OptimizerConfig()

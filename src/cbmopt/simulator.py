@@ -62,6 +62,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("replications must be at least 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.sub_step is not None and not (
             math.isfinite(self.sub_step) and self.sub_step > 0.0
         ):

@@ -35,14 +35,27 @@ __all__ = [
 
 def as_thresholds(model: SystemModel, thresholds) -> tuple[float, ...]:
     """Coerce and validate a threshold vector against a system model."""
-    values = tuple(float(v) for v in thresholds)
-    if len(values) != model.n:
+    return tuple(float(v) for v in _threshold_array(model, thresholds))
+
+
+def _threshold_array(model: SystemModel, thresholds) -> np.ndarray:
+    """Threshold vectors of shape S + (C,) as a float array, each entry
+    checked against [0, h1] of its component."""
+    try:
+        values = np.asarray(thresholds, dtype=float)
+    except ValueError:
+        raise DomainError("thresholds must be equal-length numeric vectors") from None
+    if values.ndim == 0 or values.shape[-1] != model.n:
+        length = values.shape[-1] if values.ndim else 0
         raise DomainError(
-            f"threshold vector has length {len(values)}, system has {model.n} components"
+            f"threshold vector has length {length}, system has {model.n} components"
         )
-    for i, (v, c) in enumerate(zip(values, model.components)):
-        if not (0.0 <= v <= c.h1):
-            raise DomainError(f"thresholds[{i}] = {v} outside [0, h1 = {c.h1}]")
+    h1 = np.array(model.h1_vector)
+    inside = (values >= 0.0) & (values <= h1)
+    if not inside.all():
+        first = tuple(np.argwhere(~inside)[0])
+        i = first[-1]
+        raise DomainError(f"thresholds[{i}] = {values[first]} outside [0, h1 = {h1[i]}]")
     return values
 
 
@@ -68,32 +81,42 @@ def series_survival_over_times(
     """series_survival on an array of times, batched for speed.
 
     thresholds of shape (C,) give survival of shape (T,), and L rows of
-    shape (L, C) give (L, T). The shock-count cutoff is taken at the
-    largest time, which only adds terms for the smaller ones; each component
-    contributes one block of convolution CDFs over the whole (level, shock
-    count, time) grid, so extra rows add no mixture loop.
+    shape (L, C) give (L, T): every row at every time. With L rows, times
+    of shape (L, T) instead give each row its own times, so rows (N, C) and
+    times (N, 1) pair one threshold vector with each time. The shock-count
+    cutoff is taken at the largest time, which only adds terms for the
+    smaller ones; each component contributes one block of convolution CDFs
+    over every (row, time) pair, so extra rows add no mixture loop.
     """
     t = np.asarray(times, dtype=float)
-    single = np.ndim(thresholds) == 1
-    if t.size == 0:
-        return np.zeros(0) if single else np.zeros((len(thresholds), 0))
+    values = _threshold_array(model, thresholds)
+    if not (t.ndim == 1 or (t.ndim == 2 and values.ndim == 2 and len(t) == len(values))):
+        raise DomainError("times must be one-dimensional, or one row per threshold row")
+    shape = np.broadcast(values[..., :1], t).shape
+    if t.size == 0 or values.size == 0:
+        return np.zeros(shape)
     if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise DomainError("times must be finite and >= 0")
-    rows = [thresholds] if single else thresholds
-    values = np.array([as_thresholds(model, row) for row in rows]).reshape(-1, model.n)
+    if t.ndim == 2:  # the blocks take one-dimensional times, so one level per time
+        levels = np.repeat(values, t.shape[1], axis=0)
+        t = t.ravel()
+    else:  # (1, C) or (L, 1, C): every level at every time
+        levels = values[..., None, :]
     mu = model.lam * t
     n_terms = len(poisson_weights(float(mu.max()), trunc))
     weights = np.empty((n_terms, t.size))
     weights[0] = np.exp(-mu)
     for m in range(1, n_terms):
         weights[m] = weights[m - 1] * mu / m
-    factors = weights
+    # each block has the shock count first, then the levels' shape broadcast
+    # against the times
+    ones = (1,) * (np.broadcast(levels[..., 0], t).ndim - 1)
+    factors = weights.reshape((n_terms,) + ones + (t.size,))
     for i, c in enumerate(model.components):
-        block = threshold_cdf_block(c, values[:, i], t, n_terms - 1)
+        block = threshold_cdf_block(c, levels[..., i], t, n_terms - 1)
         survive_powers = shock_survival_prob(c) ** np.arange(n_terms)
-        factors = factors * survive_powers[:, None] * block
-    survival = np.clip(factors.sum(axis=-2), 0.0, 1.0)
-    return survival[0] if single else survival
+        factors = factors * survive_powers.reshape((-1,) + ones + (1,)) * block
+    return np.clip(factors.sum(axis=0), 0.0, 1.0).reshape(shape)
 
 
 def failure_time_cdf(

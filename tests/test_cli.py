@@ -291,6 +291,23 @@ class TestExitCodes:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("section", ["simulation", "optimizer"])
+    def test_negative_seed_in_config_is_exit_2(self, tmp_path, capsys, section):
+        payload = small_config()
+        payload[section]["seed"] = -1
+        command = "evaluate" if section == "simulation" else "optimize"
+        code = main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"config error: {section}: seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    def test_negative_seed_flag_is_exit_2(self, tmp_path, capsys, command):
+        code = main([command, "--config", write_config(tmp_path, small_config()),
+                     "--seed", "-1", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+
     def test_missing_config_file_is_exit_4(self, tmp_path):
         code = main(["evaluate", "--config", str(tmp_path / "nope.json")])
         assert code == 4

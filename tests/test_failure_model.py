@@ -279,11 +279,20 @@ class TestThresholdCdfBlock:
         c = ComponentParams("levels", 8.0, 2.0, 0.5, rates[0], 0.8, rates[1], 1.0, 0.5)
         levels = np.array([0.0, 0.3 * c.h1, c.h1])
         times = np.array([0.0, 5e-324, 2.0, 6.4, 20.0])
-        block = threshold_cdf_block(c, levels, times, 8)
-        assert block.shape == (3, 9, 5)
-        for row, x in zip(block, levels):
-            assert np.max(np.abs(row - threshold_cdf_block(c, x, times, 8))) <= 1e-15
-        assert np.all(block[0, 1:] == 0.0)
+        block = threshold_cdf_block(c, levels[:, None], times, 8)
+        assert block.shape == (9, 3, 5)
+        for j, x in enumerate(levels):
+            assert np.max(np.abs(block[:, j] - threshold_cdf_block(c, x, times, 8))) <= 1e-15
+        assert np.all(block[1:, 0] == 0.0)
+        # one level per time: each column matches its own scalar call
+        per_time = np.array([c.h1, 0.3 * c.h1, c.h1, 0.0, 0.7 * c.h1])
+        columns = threshold_cdf_block(c, per_time, times, 8)
+        assert columns.shape == (9, 5)
+        for j, (x, t) in enumerate(zip(per_time, times)):
+            single = threshold_cdf_block(c, x, times[j : j + 1], 8)[:, 0]
+            assert np.max(np.abs(columns[:, j] - single)) <= 1e-15, (x, t)
+        # no levels at all: an empty block, not an error
+        assert threshold_cdf_block(c, np.empty((0, 1)), times, 8).shape == (9, 0, 5)
 
     def test_beyond_the_term_cap_raises_quickly(self):
         # rate ratio 1e-3 at wear shape 1e3: the mixture weights spread over

@@ -10,14 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbmopt import maintenance_policy
 from cbmopt.errors import DomainError, TailCapError
 from cbmopt.failure_model import SystemModel
 from cbmopt.maintenance_policy import (
     CostBreakdown,
     CostParams,
     Policy,
+    DEFAULT_TAIL,
     SeriesTailConfig,
+    _cdf_ladder,
+    _wear_bound_end,
     cost_rate,
     expected_downtime,
     expected_inspections,
@@ -238,3 +244,79 @@ class TestCostRate:
             b = cost_rate(system, policy, CostParams(1.0, 300.0, 80.0))
             assert b.e_ni == expected_inspections(system, policy)
             assert b.e_rho == expected_downtime(system, policy)
+
+
+class TestFirstBatch:
+    @staticmethod
+    def count_passes(monkeypatch):
+        passes = []
+        survival = maintenance_policy.series_survival_over_times
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return survival(*args, **kwargs)
+
+        monkeypatch.setattr(maintenance_policy, "series_survival_over_times", counted)
+        return passes
+
+    @pytest.mark.parametrize("seed, n, tau", [(3, 3, 1.0), (1, 3, 5.0), (3, 3, 5.0)])
+    def test_short_ladder_costs_one_survival_pass(self, monkeypatch, seed, n, tau):
+        # the ladder (3 to 12 epochs) fits the first batch, whose pass also
+        # carries the downtime integral's first Gauss-Kronrod round
+        system = random_system(np.random.default_rng(seed), n)
+        policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
+        end = _wear_bound_end(system, policy.h2, tau, DEFAULT_TAIL)
+        assert end is not None and len(_cdf_ladder(system, policy, None, None)[0]) - 1 <= end
+        passes = self.count_passes(monkeypatch)
+        cost_rate(system, policy, CostParams(1.0, 300.0, 80.0))
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize(
+        "case, tau, expected",
+        [
+            # a 12-epoch ladder inside the first batch
+            ((3, 3), 1.0,
+             ("0x1.68be490b67ee5p+1", "0x1.21c30577784e8p-4", "0x1.27544facd10f7p+5")),
+            # table 2, h2 at half of h1: a 206-epoch ladder
+            ("table2", 0.004,
+             ("0x1.5bb7f99c2f8aep+3", "0x1.86e5e0a360200p-14", "0x1.4433075fc0dbdp+11")),
+            # probe at 1.0: the graded mesh toward zero
+            ("table2", 120.0,
+             ("0x1.0000000000000p+0", "0x1.dfd199e35bdedp+6", "0x1.386528b88dadap+14")),
+            # an 823-epoch ladder: downtime in several 256-interval chunks
+            ("table2", 0.001,
+             ("0x1.4f7a92dc2c995p+5", "0x1.82f2531fb9980p-18", "0x1.a76cd7f766f9dp+11")),
+        ],
+    )
+    def test_frozen_hex_values(self, case, tau, expected):
+        # e_ni, e_rho and cr as exact floats from the version whose downtime
+        # integral made its own survival pass for its first round
+        if case == "table2":
+            system, costs, frac = table2_system(), CostParams(1.0, 20000.0, 100.0), 0.5
+        else:
+            system = random_system(np.random.default_rng(case[0]), case[1])
+            costs, frac = CostParams(1.0, 300.0, 80.0), 0.6
+        policy = Policy(tau=tau, h2=tuple(frac * c.h1 for c in system.components))
+        b = cost_rate(system, policy, costs)
+        frozen = tuple(float.fromhex(v) for v in expected)
+        assert (b.e_ni, b.e_rho, b.cr) == pytest.approx(frozen, rel=1e-10)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    tau=st.floats(min_value=0.05, max_value=40.0),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_ladder_never_outlasts_the_wear_only_bound(seed, n, tau, frac):
+    system = random_system(np.random.default_rng(seed), n)
+    policy = Policy(tau=tau, h2=tuple(frac * c.h1 for c in system.components))
+    end = _wear_bound_end(system, policy.h2, tau, DEFAULT_TAIL)
+    try:
+        ladder = _cdf_ladder(system, policy, None, None)[0]
+    except TailCapError:
+        assert end is None
+        return
+    if end is not None:
+        assert len(ladder) - 1 <= end

@@ -10,6 +10,7 @@ from cbmopt.failure_model import ComponentParams, SystemModel
 from cbmopt.maintenance_policy import CostParams, Policy, cost_rate
 from cbmopt.simulator import (
     _BLOCK,
+    _bisect,
     SimulationConfig,
     empirical_first_passage_cdf,
     estimate_cost_rate,
@@ -308,32 +309,41 @@ class TestCrossingResolution:
 
 
 class TestBridgeRefinement:
-    def test_halving_the_step_never_detects_later_and_moves_by_at_most_one(self):
-        # one wear path sampled on a coarse grid, then refined in place by
-        # conditional bridge draws: the fine crossing must sit inside the
-        # coarse bracketing step
-        rng = np.random.default_rng(77)
-        alpha, beta, limit = 0.9, 0.5, 6.0
-        horizon, coarse_n = 40.0, 256
-        for _ in range(50):
-            coarse_dt = horizon / coarse_n
-            grid = np.linspace(0.0, horizon, coarse_n + 1)
-            increments = rng.gamma(alpha * coarse_dt, 1.0 / beta, size=coarse_n)
-            levels = np.concatenate([[0.0], np.cumsum(increments)])
-            crossed = levels >= limit
-            if not crossed.any():
-                continue
-            idx = int(np.argmax(crossed))
-            t_coarse = grid[idx]
-            # refine the bracketing cell with one bridge midpoint
-            lo, hi = grid[idx - 1], grid[idx]
-            x_lo, x_hi = levels[idx - 1], levels[idx]
-            mid = 0.5 * (lo + hi)
-            frac = rng.beta(alpha * (mid - lo), alpha * (hi - mid))
-            x_mid = x_lo + (x_hi - x_lo) * frac
-            t_fine = mid if x_mid >= limit else hi
-            assert t_fine <= t_coarse
-            assert t_coarse - t_fine <= coarse_dt
+    class MeanBridge:
+        """Stands in for the generator in _bisect: each beta draw is its mean
+        a / (a + b), so every bridge is the straight line between its end
+        levels and the crossing time has a closed form."""
+
+        def beta(self, a, b):
+            return a / (a + b)
+
+    @staticmethod
+    def brackets(seed, count=300):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(0.0, 10.0, count)
+        hi = lo + rng.uniform(0.05, 5.0, count)
+        limit = 4.0
+        x_lo = limit - rng.uniform(0.01, 3.0, count)
+        x_hi = limit + rng.uniform(0.0, 3.0, count)
+        crossing = lo + (limit - x_lo) / (x_hi - x_lo) * (hi - lo)
+        return limit, lo, hi, x_lo, x_hi, crossing
+
+    def test_halving_lands_at_most_one_sub_step_after_the_crossing(self):
+        limit, lo, hi, x_lo, x_hi, crossing = self.brackets(11)
+        for sub_step in (1.0, 0.05, 1e-6):
+            found = _bisect(0.9, limit, self.MeanBridge(), lo, hi, x_lo, x_hi, sub_step, None)
+            slack = 1e-12 * hi
+            assert np.all(found >= crossing - slack)
+            assert np.all(found <= crossing + sub_step + slack)
+            assert np.all((found > lo) & (found <= hi))
+
+    def test_grid_lands_on_the_first_grid_point_at_or_after_the_crossing(self):
+        limit, lo, hi, x_lo, x_hi, crossing = self.brackets(12)
+        for grid in (np.linspace(0.0, 16.0, 41), np.linspace(0.0, 16.0, 257), np.array([3.0, 7.5])):
+            found = _bisect(0.9, limit, self.MeanBridge(), lo, hi, x_lo, x_hi, None, grid)
+            for f, a, b, t in zip(found, lo, hi, crossing):
+                inside = grid[(grid > a) & (grid < b) & (grid >= t)]
+                assert f == (inside[0] if inside.size else b)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -114,6 +114,26 @@ class TestSeriesSurvival:
         assert series_survival_over_times(sane_system, [], [h2, h1]).shape == (2, 0)
         assert series_survival_over_times(sane_system, times, np.zeros((0, 3))).shape == (0, 5)
 
+    def test_rows_with_their_own_times_match_single_rows(self, sane_system):
+        h1 = sane_system.h1_vector
+        rows = np.array([[f * v for v in h1] for f in (0.4, 1.0, 0.7)])
+        own = np.array([[0.0, 1.5, 6.0], [5e-324, 30.0, 2.0], [6.0, 0.5, 12.0]])
+        paired = series_survival_over_times(sane_system, own, rows)
+        assert paired.shape == (3, 3)
+        # the shock-count cutoff follows the largest time of the call, which
+        # moves a value by at most the Poisson tail eps, 1e-12
+        for row, times, thresholds in zip(paired, own, rows):
+            single = series_survival_over_times(sane_system, times, thresholds)
+            assert np.max(np.abs(row - single)) <= 1e-12
+        # one threshold vector per time point
+        per_point = series_survival_over_times(sane_system, own[:, :1], rows)
+        assert per_point.shape == (3, 1)
+        assert np.max(np.abs(per_point[:, 0] - paired[:, 0])) <= 1e-12
+        with pytest.raises(DomainError, match="one row per threshold row"):
+            series_survival_over_times(sane_system, own[:2], rows)
+        with pytest.raises(DomainError, match="one row per threshold row"):
+            series_survival_over_times(sane_system, own, h1)
+
     def test_every_stacked_row_is_validated(self, sane_system):
         bad = [1.5 * c.h1 for c in sane_system.components]
         with pytest.raises(DomainError, match=r"thresholds\[0\]"):
