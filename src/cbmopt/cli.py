@@ -33,14 +33,11 @@ from .maintenance_policy import (
     validate_policy,
 )
 from .optimizer import OptimizerConfig, optimize_fixed_tau, optimize_policy
-from .simulator import (
-    CycleOutcome,
-    SimulationConfig,
-    empirical_first_passage_cdf,
-    estimate_from_outcomes,
-    simulate_many,
-)
+from .simulator import SimulationConfig, empirical_first_passage_cdf, estimate_cost_rate
 from .system_reliability import series_survival_over_times
+
+# unused here; perfbench/tracing.py wraps these module attributes by name
+from .simulator import estimate_from_outcomes, simulate_many  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -420,14 +417,11 @@ def cmd_evaluate(config: RunConfig) -> dict:
     warnings = []
     sim = config.simulation
     if sim is not None and sim.replications > 1:
-        outcomes = simulate_many(config.system, config.policy, sim)
-        estimate = estimate_from_outcomes(outcomes, config.costs)
-        downtimes = np.array(CycleOutcome._make(zip(*outcomes)).downtime)
-        downtime_stderr = float(downtimes.std(ddof=1) / math.sqrt(downtimes.size))
+        estimate = estimate_cost_rate(config.system, config.policy, config.costs, sim)
         outputs["simulation"] = _estimate_dict(estimate)
         outputs["cr_gap"] = breakdown.cr - estimate.mean_cr
         outputs["downtime_gap"] = breakdown.e_rho - estimate.mean_breakdown.downtime
-        outputs["downtime_gap_stderr"] = downtime_stderr
+        outputs["downtime_gap_stderr"] = estimate.stderr_downtime
         # the simulator reports each soft failure less than one sub-step
         # late, so its mean downtime, and with it its cost rate, can only
         # read low, by at most this much
@@ -437,7 +431,9 @@ def cmd_evaluate(config: RunConfig) -> dict:
             "cost-rate", outputs["cr_gap"], estimate.stderr_cr,
             config.costs.c_rho * late / breakdown.e_k,
         )
-        warnings += _gap_warning("downtime", outputs["downtime_gap"], downtime_stderr, late)
+        warnings += _gap_warning(
+            "downtime", outputs["downtime_gap"], estimate.stderr_downtime, late
+        )
     return _report("evaluate", config, outputs, warnings, started)
 
 
@@ -516,8 +512,7 @@ def cmd_simulate(
     sim = config.simulation or SimulationConfig()
     if reps is not None:
         sim = replace(sim, replications=reps)
-    outcomes = simulate_many(config.system, config.policy, sim)
-    estimate = estimate_from_outcomes(outcomes, config.costs)
+    estimate = estimate_cost_rate(config.system, config.policy, config.costs, sim)
     warnings = []
     if sim.replications == 1:
         warnings.append("single replication: stderr is undefined")

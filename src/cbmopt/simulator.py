@@ -5,12 +5,15 @@ Shocks arrive after exponential gaps; between them each component takes
 one exact gamma increment. A crossing inside such a stretch is located by
 conditional bisection: given the levels at both ends, the level at a split
 point follows a beta-scaled bridge, and monotonicity of the path makes
-bisection find the same crossing point a dense grid would. The cycle
-simulator runs it once per inspection interval on the surviving paths and
-halves each bracket down to the configured sub-step, so a failure is
-found late by at most max(sub_step, one ulp of t), never early. The
-first-passage estimator runs it once over the whole horizon and splits
-brackets at grid points only, so its curve is exact at every grid point.
+bisection find the same crossing point a dense grid would. A path fails
+at its earliest component crossing, so each later component is bisected
+only where it comes before the earliest one found so far. The cycle
+simulator runs the engine once per inspection interval on the surviving
+paths and halves each bracket down to the configured sub-step, so a
+failure is found late by at most max(sub_step, one ulp of t), never
+early. The first-passage estimator runs it once over the whole horizon
+and splits brackets at grid points only, so its curve is exact at every
+grid point.
 
 Replications run in fixed-size blocks, each drawing from a substream
 derived from the seed and the block index. The same seed and replication
@@ -96,12 +99,14 @@ class CycleMeans:
 
 @dataclass(frozen=True)
 class SimulationEstimate:
-    """Renewal-reward cost-rate estimate with its standard error."""
+    """Renewal-reward cost-rate estimate with its standard error, and the
+    standard error of the mean downtime per cycle (both nan for one cycle)."""
 
     mean_cr: float
     stderr_cr: float
     mean_breakdown: CycleMeans
     preventive_fraction: float
+    stderr_downtime: float
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -114,7 +119,7 @@ def _blocks(config: SimulationConfig):
         yield _substream(config.seed, block), min(_BLOCK, config.replications - start)
 
 
-def _bisect(alpha, limit, rng, lo, hi, x_lo, x_hi, sub_step, grid):
+def _bisect(alpha, limit, rng, lo, hi, x_lo, x_hi, sub_step, grid, cap=None):
     """Right ends of the crossing brackets (lo, hi] after conditional bisection.
 
     The level x_lo at lo is below limit and x_hi at hi is not; the level at
@@ -122,8 +127,26 @@ def _bisect(alpha, limit, rng, lo, hi, x_lo, x_hi, sub_step, grid):
     bracket is halved while it is wider than sub_step; with grid (strictly
     increasing) it is split at its middle grid point strictly inside while
     one is left. A bracket too narrow to split, its beta shapes not both
-    positive (one ulp of t), counts as resolved. The live brackets stay compacted in their original order, so
-    each round draws one beta per live bracket, in bracket order.
+    positive (one ulp of t), counts as resolved.
+
+    cap, one value per bracket, is the earliest crossing already found on
+    the bracket's path; a crossing past it cannot move the path's failure
+    time. A bracket with lo >= cap is dropped, its right end returned as it
+    came. One with lo < cap < hi that would be split is first split at cap,
+    one bridge draw: if the level there is below limit the crossing lies
+    after cap and the bracket is dropped too. Otherwise the crossing lies
+    in (lo, cap]. With grid the bracket becomes (lo, cap] and is split at
+    its grid points below cap. Without grid it is halved as before, but a
+    split point at or past cap takes no draw (its level is at or above
+    limit) and one before cap is drawn between lo and cap, until the
+    bracket ends at or before cap; then halving goes on as usual. Where cap
+    is a right end that the uncapped search of a bracket on the same
+    stretch can return, as in _advance, min(right end, cap) is therefore
+    exactly what it is without cap.
+
+    The live brackets stay compacted in their original order, so after the
+    splits at cap each round draws one beta per bracket it splits, in
+    bracket order.
     """
     out = hi.copy()
     at = np.arange(hi.size)
@@ -134,6 +157,55 @@ def _bisect(alpha, limit, rng, lo, hi, x_lo, x_hi, sub_step, grid):
         a = np.searchsorted(grid, lo, side="right")
         b = np.searchsorted(grid, hi, side="left")
         keep = a < b
+    if cap is not None:
+        keep &= lo < cap
+        split = np.flatnonzero(keep & (cap < hi))
+        if split.size:
+            c = cap[split]
+            left, right = alpha * (c - lo[split]), alpha * (hi[split] - c)
+            # a cap one ulp from an end is not split at
+            ok = (left > 0.0) & (right > 0.0)
+            split, c = split[ok], c[ok]
+            x_c = x_lo[split] + (x_hi[split] - x_lo[split]) * rng.beta(left[ok], right[ok])
+            above = x_c >= limit
+            keep[split[~above]] = False
+            split, c, x_c = split[above], c[above], x_c[above]
+            hi, x_hi = hi.copy(), x_hi.copy()
+            if grid is None:
+                # halve until the bracket ends at or before c, drawing only
+                # the split points before c
+                lo, x_lo = lo.copy(), x_lo.copy()
+                l, h, x_l = lo[split], hi[split], x_lo[split]
+                while split.size:
+                    mid = 0.5 * (l + h)
+                    left, right = alpha * (mid - l), alpha * (c - mid)
+                    free = mid >= c
+                    # one too narrow to split is resolved at h, past c
+                    stop = (h - l <= sub_step) | ~free & ((left <= 0.0) | (right <= 0.0))
+                    draw = np.flatnonzero(~(free | stop))
+                    x_mid = x_c.copy()
+                    x_mid[draw] = x_l[draw] + (x_c[draw] - x_l[draw]) * rng.beta(
+                        left[draw], right[draw]
+                    )
+                    rise = x_mid >= limit
+                    l, x_l = np.where(rise, l, mid), np.where(rise, x_l, x_mid)
+                    h = np.where(rise, mid, h)
+                    done = stop | rise & (mid <= c)
+                    if done.any():
+                        keep[split[stop]] = False
+                        end = done & ~stop
+                        at_end = split[end]
+                        lo[at_end], x_lo[at_end] = l[end], x_l[end]
+                        hi[at_end], x_hi[at_end] = h[end], x_mid[end]
+                        keep[at_end] = h[end] - l[end] > sub_step
+                        more = ~done
+                        split, l, h, x_l, c, x_c = (
+                            split[more], l[more], h[more], x_l[more], c[more], x_c[more]
+                        )
+            else:
+                hi[split], x_hi[split] = c, x_c
+                b[split] = np.searchsorted(grid, c, side="left")
+                keep[split] = a[split] < b[split]
     while True:
         if not keep.all():
             out[at[~keep]] = hi[~keep]
@@ -178,9 +250,14 @@ def _advance(
     none, and whether that failure was hard. A path's levels are only
     meaningful up to its failure time. Between shocks each component takes
     one gamma increment; a crossing inside that quiet stretch is located by
-    _bisect. Without grid it is reported late by at most max(sub_step, one
-    ulp of t) and never early. With grid the reported time is at most a
-    grid point exactly when the crossing is, and sub_step is unused.
+    _bisect, component by component, each capped at the earliest crossing
+    its path has so far: the path fails at the first one, so a later
+    component's crossing is refined only where it comes earlier. Without
+    grid the failure is reported late by at most max(sub_step, one ulp of
+    t) and never early. With grid the reported time is at most a grid
+    point exactly when the crossing is, and sub_step is unused. Either way
+    the cap leaves the reported time what uncapped bisection would make of
+    the same path.
     """
     fail = np.full(levels.shape[1], np.inf)
     hard = np.zeros(levels.shape[1], dtype=bool)
@@ -193,16 +270,19 @@ def _advance(
             shock = np.full(paths.size, np.inf)
         end = np.minimum(shock, t1)
         crossed = np.full(paths.size, np.inf)
+        capped = False  # no cap work until some path has a crossing
         for i, c in enumerate(model.components):
             before = levels[i, paths]
             after = before + rng.gamma(c.alpha * (end - t), 1.0 / c.beta)
             levels[i, paths] = after
             hit = np.flatnonzero((before < limits[i]) & (after >= limits[i]))
+            cap = crossed[hit] if capped else None
             hi = _bisect(
                 c.alpha, limits[i], rng, t[hit], end[hit], before[hit], after[hit],
-                sub_step, grid,
+                sub_step, grid, cap,
             )
-            crossed[hit] = np.minimum(crossed[hit], hi)
+            crossed[hit] = hi if cap is None else np.minimum(cap, hi)
+            capped = capped or hit.size > 0
         fail[paths] = crossed
         # a wear crossing comes before the shock that ends its stretch
         go = np.isinf(crossed) & (shock < t1)
@@ -225,20 +305,15 @@ def _advance(
 _KINDS = np.array(["soft", "hard", "none"], dtype=object)
 
 
-def simulate_many(
+def _simulate_columns(
     model: SystemModel, policy: Policy, config: SimulationConfig
-) -> list[CycleOutcome]:
-    """Independent renewal cycles under the inspect-and-replace policy.
-
-    A cycle ends at the first inspection that observes a hard failure or
-    any component at or above its on-condition threshold. A failure before
-    that inspection accrues downtime until it. Raises HorizonCapError when
-    some cycle is not over after config.horizon_cap inspections.
-    """
+) -> CycleOutcome:
+    """The cycles of simulate_many as one CycleOutcome of arrays, in the
+    same order; failure_time is inf where a cycle ended preventively."""
     h2 = np.array(validate_policy(model, policy))[:, None]
     tau = policy.tau
     sub_step = config.sub_step if config.sub_step is not None else tau / 1024.0
-    outcomes = []
+    blocks = []
     for rng, size in _blocks(config):
         levels = np.zeros((model.n, size))
         paths = np.arange(size)
@@ -261,20 +336,42 @@ def simulate_many(
             done = failed | (levels >= h2).any(axis=0)
             inspections[paths[done]] = k
             paths, levels = paths[~done], levels[:, ~done]
-        preventive = np.isinf(fail)
-        lengths = inspections * tau
-        failure_time = fail.astype(object)
-        failure_time[preventive] = None
-        # tuple.__new__ builds each record without _make's length check
-        outcomes += map(partial(tuple.__new__, CycleOutcome), zip(
-            inspections.tolist(),
-            lengths.tolist(),
-            np.where(preventive, 0.0, lengths - fail).tolist(),
-            preventive.tolist(),
-            failure_time.tolist(),
-            _KINDS[np.where(preventive, 2, hard)].tolist(),
-        ))
-    return outcomes
+        blocks.append((inspections, fail, hard))
+    inspections, fail, hard = (np.concatenate(column) for column in zip(*blocks))
+    preventive = np.isinf(fail)
+    lengths = inspections * tau
+    return CycleOutcome(
+        inspections=inspections,
+        cycle_length=lengths,
+        downtime=np.where(preventive, 0.0, lengths - fail),
+        ended_preventively=preventive,
+        failure_time=fail,
+        failure_kind=_KINDS[np.where(preventive, 2, hard)],
+    )
+
+
+def simulate_many(
+    model: SystemModel, policy: Policy, config: SimulationConfig
+) -> list[CycleOutcome]:
+    """Independent renewal cycles under the inspect-and-replace policy.
+
+    A cycle ends at the first inspection that observes a hard failure or
+    any component at or above its on-condition threshold. A failure before
+    that inspection accrues downtime until it. Raises HorizonCapError when
+    some cycle is not over after config.horizon_cap inspections.
+    """
+    columns = _simulate_columns(model, policy, config)
+    failure_time = columns.failure_time.astype(object)
+    failure_time[columns.ended_preventively] = None
+    # tuple.__new__ builds each record without _make's length check
+    return list(map(partial(tuple.__new__, CycleOutcome), zip(
+        columns.inspections.tolist(),
+        columns.cycle_length.tolist(),
+        columns.downtime.tolist(),
+        columns.ended_preventively.tolist(),
+        failure_time.tolist(),
+        columns.failure_kind.tolist(),
+    )))
 
 
 def estimate_cost_rate(
@@ -286,10 +383,11 @@ def estimate_cost_rate(
     """Renewal-reward ratio estimate of the long-run cost rate.
 
     The standard error uses the delta method for a ratio of means; with a
-    single replication it is reported as nan.
+    single replication it is reported as nan. The result equals, field for
+    field, estimate_from_outcomes on simulate_many's cycles, without
+    building the records.
     """
-    config = config or SimulationConfig()
-    return estimate_from_outcomes(simulate_many(model, policy, config), costs)
+    return _estimate(_simulate_columns(model, policy, config or SimulationConfig()), costs)
 
 
 def estimate_from_outcomes(
@@ -298,20 +396,25 @@ def estimate_from_outcomes(
     """Cost-rate estimate from already-simulated cycles."""
     if not outcomes:
         raise DomainError("outcomes must not be empty")
-    columns = CycleOutcome._make(zip(*outcomes))
-    inspections = np.array(columns.inspections, dtype=float)
-    downtime = np.array(columns.downtime)
-    lengths = np.array(columns.cycle_length)
+    return _estimate(CycleOutcome._make(zip(*outcomes)), costs)
+
+
+def _estimate(columns: CycleOutcome, costs: CostParams) -> SimulationEstimate:
+    """The estimate from per-cycle columns, arrays or sequences."""
+    inspections = np.asarray(columns.inspections, dtype=float)
+    downtime = np.asarray(columns.downtime, dtype=float)
+    lengths = np.asarray(columns.cycle_length, dtype=float)
     total_cost = costs.c_i * inspections + costs.c_rho * downtime + costs.c_r
     rate = float(total_cost.sum() / lengths.sum())
-    n = len(outcomes)
+    n = lengths.size
     if n > 1:
         residuals = total_cost - rate * lengths
         stderr = float(
             math.sqrt(float(residuals @ residuals) / (n - 1) / n) / lengths.mean()
         )
+        stderr_downtime = float(downtime.std(ddof=1) / math.sqrt(n))
     else:
-        stderr = float("nan")
+        stderr = stderr_downtime = float("nan")
     return SimulationEstimate(
         mean_cr=rate,
         stderr_cr=stderr,
@@ -322,6 +425,7 @@ def estimate_from_outcomes(
             total_cost=float(total_cost.mean()),
         ),
         preventive_fraction=float(np.mean(columns.ended_preventively)),
+        stderr_downtime=stderr_downtime,
     )
 
 

@@ -1,10 +1,14 @@
 """Tests for the path-wise Monte Carlo engine."""
 
 import math
+import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cbmopt import simulator
+from cbmopt.cli import parse_config
 from cbmopt.errors import DomainError, HorizonCapError
 from cbmopt.failure_model import ComponentParams, SystemModel
 from cbmopt.maintenance_policy import CostParams, Policy, cost_rate
@@ -20,6 +24,8 @@ from cbmopt.simulator import (
 from cbmopt.system_reliability import series_survival_over_times
 
 from conftest import random_system
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -91,21 +97,21 @@ class TestSimulateCycle:
             simulate_many(model, policy, config)
 
     def test_frozen_draws(self):
-        # values of the pre-compaction engine at 17 digits, on a shock-heavy
-        # system where cycles span several inspections and each soft failure
-        # takes up to ten bisection rounds: any change in the order or number
-        # of draws moves them
+        # values at 17 digits on a shock-heavy system where cycles span
+        # several inspections and each soft failure takes up to ten
+        # bisection rounds: any change in the order or number of draws
+        # moves them
         base = random_system(np.random.default_rng(2024), 3)
         model = SystemModel(components=base.components, lam=0.5)
         policy = Policy(tau=2.0, h2=tuple(0.9 * c.h1 for c in model.components))
         outcomes = simulate_many(model, policy, SimulationConfig(replications=3000, seed=5))
         downtime = np.mean([o.downtime for o in outcomes])
         inspections = np.mean([o.inspections for o in outcomes])
-        assert downtime == pytest.approx(0.53440936415455853, rel=1e-15)
-        assert inspections == pytest.approx(3.6216666666666666, rel=1e-15)
+        assert downtime == pytest.approx(0.54052198629939452, rel=1e-15)
+        assert inspections == pytest.approx(3.6053333333333333, rel=1e-15)
         assert outcomes[:3] == [
-            (3, 6.0, 0.91481820712784145, False, 5.0851817928721585, "soft"),
-            (5, 10.0, 1.4286863887045023, False, 8.5713136112954977, "soft"),
+            (4, 8.0, 0.0, True, None, "none"),
+            (5, 10.0, 0.0, True, None, "none"),
             (2, 4.0, 0.65355926020798405, False, 3.346440739792016, "soft"),
         ]
 
@@ -199,6 +205,22 @@ class TestEstimateCostRate:
             SimulationConfig(replications=1, seed=9),
         )
         assert math.isnan(est.stderr_cr)
+        assert math.isnan(est.stderr_downtime)
+
+    def test_columns_equal_records(self, model):
+        # estimate_cost_rate skips the records; across two blocks it must
+        # still give what the records give, field for field, bit for bit
+        policy = make_policy(model)
+        costs = CostParams(1.0, 200.0, 50.0)
+        config = SimulationConfig(replications=_BLOCK + 500, seed=17)
+        direct = estimate_cost_rate(model, policy, costs, config)
+        outcomes = simulate_many(model, policy, config)
+        assert direct == estimate_from_outcomes(outcomes, costs)
+        downtimes = [o.downtime for o in outcomes]
+        assert 0.0 < direct.preventive_fraction < 1.0
+        assert direct.stderr_downtime == pytest.approx(
+            statistics.stdev(downtimes) / math.sqrt(len(downtimes)), rel=1e-12
+        )
 
     def test_no_outcomes(self):
         with pytest.raises(DomainError):
@@ -344,6 +366,108 @@ class TestBridgeRefinement:
             for f, a, b, t in zip(found, lo, hi, crossing):
                 inside = grid[(grid > a) & (grid < b) & (grid >= t)]
                 assert f == (inside[0] if inside.size else b)
+
+    @staticmethod
+    def caps(seed, lo, hi, points):
+        """One cap per bracket: a point strictly inside it (from points when
+        given), its right end, past it, at or before its left end, or inf."""
+        rng = np.random.default_rng(seed)
+        inside = rng.uniform(lo, hi)
+        if points is not None:
+            # the grid point nearest the drawn one, where one lies inside
+            near = points[np.abs(points[:, None] - inside).argmin(axis=0)]
+            inside = np.where((near > lo) & (near < hi), near, hi)
+        kind = rng.integers(0, 9, lo.size)
+        return np.select(
+            [kind < 4, kind == 4, kind == 5, kind == 6, kind == 7],
+            [inside, hi, hi + 1.0, lo, lo - rng.uniform(0.0, 1.0, lo.size)],
+            np.inf,
+        )
+
+    def test_cap_keeps_the_earliest_crossing(self):
+        # a path fails at its earliest crossing, so a bracket need only be
+        # refined below the cap. With the cap another component's crossing
+        # on the same stretch, as in _advance, min(found, cap) is exactly
+        # the uncapped answer in both modes. With any cap it is the cap
+        # where the crossing lies past it, and otherwise the uncapped answer
+        # on a grid (caps at grid points) and within one sub-step of the
+        # crossing when halving.
+        limit, lo, hi, x_lo, x_hi, crossing = self.brackets(13)
+        _, _, _, y_lo, y_hi, _ = self.brackets(17)
+        bridge = self.MeanBridge()
+        for sub_step, grid in ((0.05, None), (1e-6, None), (None, np.linspace(0.0, 16.0, 41)),
+                               (None, np.linspace(0.0, 16.0, 257))):
+            free = _bisect(0.9, limit, bridge, lo, hi, x_lo, x_hi, sub_step, grid)
+            # the other component crosses anywhere, or just after this one,
+            # mostly in the same last cell
+            others = [_bisect(0.9, limit, bridge, lo, hi, y_lo, y_hi, sub_step, grid),
+                      _bisect(0.9, limit, bridge, lo, hi, x_lo, x_hi - 1e-9, sub_step, grid)]
+            assert 50 < (free < others[0]).sum() < 250
+            assert (free == others[1]).sum() > 250
+            for other in others:
+                found = _bisect(0.9, limit, bridge, lo, hi, x_lo, x_hi, sub_step, grid, other)
+                np.testing.assert_array_equal(np.minimum(found, other), np.minimum(free, other))
+
+            cap = self.caps(14, lo, hi, grid)
+            first = np.minimum(
+                _bisect(0.9, limit, bridge, lo, hi, x_lo, x_hi, sub_step, grid, cap), cap
+            )
+            before = crossing < cap
+            assert 50 < before.sum() < lo.size
+            assert np.all(first[~before] == cap[~before])
+            if grid is not None:
+                np.testing.assert_array_equal(first, np.minimum(free, cap))
+            else:
+                slack = 1e-12 * hi[before]
+                assert np.all(first[before] >= crossing[before] - slack)
+                assert np.all(first[before] <= crossing[before] + sub_step + slack)
+
+    def test_cap_costs_one_draw_past_the_crossing_and_none_behind_the_bracket(self):
+        class CountingBridge(self.MeanBridge):
+            draws = 0
+
+            def beta(self, a, b):
+                self.draws += a.size
+                return super().beta(a, b)
+
+        limit, lo, hi, x_lo, x_hi, crossing = self.brackets(15)
+        cap = self.caps(16, lo, hi, None)
+        cases = {"past": 0, "behind": 0}
+        for j in range(lo.size):
+            rng = CountingBridge()
+            one = slice(j, j + 1)
+            _bisect(0.9, limit, rng, lo[one], hi[one], x_lo[one], x_hi[one], 1e-3, None, cap[one])
+            if lo[j] >= cap[j]:
+                cases["behind"] += 1
+                assert rng.draws == 0
+            elif crossing[j] > cap[j] and cap[j] < hi[j]:
+                cases["past"] += 1
+                assert rng.draws == 1
+        assert min(cases.values()) > 10
+
+    def test_table2_cycle_takes_few_bridge_draws(self, monkeypatch):
+        # at tau = 24 h every component crosses inside the first interval;
+        # bisecting each to the sub-step costs 40 draws a cycle, the capped
+        # bisection of the later components about 16
+        class Counting:
+            draws = 0
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def beta(self, a, b):
+                Counting.draws += a.size
+                return self.rng.beta(a, b)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        substream = simulator._substream
+        monkeypatch.setattr(simulator, "_substream", lambda *key: Counting(substream(*key)))
+        config = parse_config(str(CONFIG_DIR / "table2_tau24.json"))
+        n = 2000
+        simulate_many(config.system, config.policy, SimulationConfig(replications=n, seed=1))
+        assert Counting.draws < 20 * n
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
