@@ -63,7 +63,6 @@ from .simulator import (
 from .system_reliability import (
     detection_time_cdf,
     failure_time_cdf,
-    reliability_curve,
     series_survival,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "optimize_policy",
     "pure_degradation_cdf",
     "regularized_lower_gamma",
-    "reliability_curve",
     "series_survival",
     "shock_survival_prob",
     "simulate_many",

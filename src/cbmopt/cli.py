@@ -18,13 +18,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from functools import cache
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .errors import CbmError, ConfigError, DomainError
-from .failure_model import ComponentParams, SystemModel, TruncationConfig
+from .failure_model import SystemModel, TruncationConfig
 from .maintenance_policy import (
     CostParams,
     Policy,
@@ -49,17 +51,8 @@ __all__ = [
     "main",
 ]
 
-_COMPONENT_FIELDS = {
-    "name": str,
-    "h1": float,
-    "d": float,
-    "alpha": float,
-    "beta": float,
-    "y_alpha": float,
-    "y_beta": float,
-    "w_mu": float,
-    "w_sigma": float,
-}
+# JSON keys that differ from the field names they set
+_JSON_KEYS = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -89,140 +82,95 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _number(obj: dict, path: str, key: str, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+def _value(hint, value, where: str):
+    """Read one JSON value as the type hint says, naming a fault by where.
+
+    float takes a number and int an integer, neither a bool; X | None also
+    takes null; tuple[X, ...] takes a non-empty list and tuple[X, X] a list
+    of two. A dataclass in a list is built at its index, which is also its
+    name when it has no other.
+    """
+    if hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string")
+        return value
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return value
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is out of float range") from None
+    args = get_args(hint)
+    if type(None) in args:
+        return None if value is None else _value(args[0], value, where)
+    if args[-1] is Ellipsis:
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{where} must be a non-empty list")
+    elif not (isinstance(value, list) and len(value) == len(args)):
+        raise ConfigError(f"{where} must be a list of {len(args)} values")
+    if is_dataclass(args[0]):
+        return tuple(
+            _build(args[0], v, f"{where}[{i}]", name=str(i)) for i, v in enumerate(value)
+        )
+    return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
-def _integer(obj: dict, path: str, key: str, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
-    return value
+@cache
+def _schema(cls) -> tuple:
+    """(JSON key, field, resolved type hint) for each field of the dataclass
+    cls; resolving the hints costs more than reading a section, so it is
+    done once per class."""
+    hints = get_type_hints(cls)
+    return tuple((_JSON_KEYS.get(f.name, f.name), f, hints[f.name]) for f in fields(cls))
 
 
-def _build_component(obj: dict, path: str) -> ComponentParams:
-    _check_keys(obj, path, set(_COMPONENT_FIELDS) - {"name"}, {"name"})
-    kwargs = {"name": obj.get("name", path.rsplit("[", 1)[-1].rstrip("]"))}
-    if not isinstance(kwargs["name"], str):
-        raise ConfigError(f"{path}.name must be a string")
-    for field in _COMPONENT_FIELDS:
-        if field == "name":
-            continue
-        kwargs[field] = _number(obj, path, field)
+def _arguments(cls, obj: dict, path: str, defaults: dict) -> dict:
+    """Constructor arguments of the dataclass cls from the JSON object obj.
+
+    A field with a dataclass default, or one in defaults, is optional; any
+    other is required. Keys are field names, apart from _JSON_KEYS.
+    """
+    schema = _schema(cls)
+    required = {
+        key for key, f, _ in schema
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in defaults
+    }
+    _check_keys(obj, path, required, {key for key, _, _ in schema})
+    kwargs = dict(defaults)
+    for key, f, hint in schema:
+        if key in obj:
+            kwargs[f.name] = _value(hint, obj[key], f"{path}.{key}")
+    return kwargs
+
+
+def _build(cls, obj: dict, path: str, **defaults):
+    """The dataclass cls built from the JSON object obj at path."""
     try:
-        return ComponentParams(**kwargs)
+        return cls(**_arguments(cls, obj, path, defaults))
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _build_system(obj: dict) -> SystemModel:
-    _check_keys(obj, "system", {"lambda", "components"})
-    raw = obj["components"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("system.components must be a non-empty list")
-    components = tuple(
-        _build_component(item, f"system.components[{i}]") for i, item in enumerate(raw)
-    )
-    try:
-        return SystemModel(components=components, lam=_number(obj, "system", "lambda"))
-    except DomainError as exc:
-        raise ConfigError(f"system: {exc}") from exc
-
-
 def _build_policy(obj: dict, system: SystemModel) -> Policy:
-    _check_keys(obj, "policy", {"tau", "h2"})
-    h2 = obj["h2"]
-    if not isinstance(h2, list):
-        raise ConfigError("policy.h2 must be a list of numbers")
-    values = []
-    for i, v in enumerate(h2):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"policy.h2[{i}] must be a number")
-        values.append(float(v))
+    """The policy section, its thresholds checked against the system's."""
+    kwargs = _arguments(Policy, obj, "policy", {})
+    h2 = kwargs["h2"]
+    if len(h2) != system.n:
+        raise ConfigError(f"policy.h2 has {len(h2)} entries for {system.n} components")
+    for i, (v, c) in enumerate(zip(h2, system.components)):
+        if not 0.0 <= v <= c.h1:
+            raise ConfigError(
+                f"policy.h2[{i}] must lie in [0, system.components[{i}].h1], got {v}"
+            )
     try:
-        policy = Policy(tau=_number(obj, "policy", "tau"), h2=tuple(values))
-    except DomainError as exc:
+        return Policy(**kwargs)
+    except DomainError as exc:  # h2 is sound, so tau is at fault
         raise ConfigError(f"policy.tau: {exc}") from exc
-    if len(values) != system.n:
-        raise ConfigError(
-            f"policy.h2 has {len(values)} entries for {system.n} components"
-        )
-    for i, (v, c) in enumerate(zip(values, system.components)):
-        if v > c.h1:
-            raise ConfigError(f"policy.h2[{i}] > system.components[{i}].h1")
-        if v < 0.0:
-            raise ConfigError(f"policy.h2[{i}] must be >= 0")
-    return policy
-
-
-def _build_optimizer(obj: dict) -> OptimizerConfig:
-    _check_keys(
-        obj, "optimizer", set(),
-        {"multistart_count", "max_iterations", "x_tol", "f_tol", "tau_bounds", "seed"},
-    )
-    defaults = OptimizerConfig()
-    bounds = defaults.tau_bounds
-    if "tau_bounds" in obj:
-        raw = obj["tau_bounds"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError("optimizer.tau_bounds must be a [low, high] pair")
-        bounds = (float(raw[0]), float(raw[1]))
-    try:
-        return OptimizerConfig(
-            multistart_count=_integer(obj, "optimizer", "multistart_count", defaults.multistart_count),
-            max_iterations=_integer(obj, "optimizer", "max_iterations", defaults.max_iterations),
-            x_tol=_number(obj, "optimizer", "x_tol", defaults.x_tol),
-            f_tol=_number(obj, "optimizer", "f_tol", defaults.f_tol),
-            tau_bounds=bounds,
-            seed=_integer(obj, "optimizer", "seed", defaults.seed),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-
-
-def _build_simulation(obj: dict) -> SimulationConfig:
-    _check_keys(obj, "simulation", set(), {"replications", "seed", "sub_step", "horizon_cap"})
-    defaults = SimulationConfig()
-    try:
-        return SimulationConfig(
-            replications=_integer(obj, "simulation", "replications", defaults.replications),
-            seed=_integer(obj, "simulation", "seed", defaults.seed),
-            sub_step=_number(obj, "simulation", "sub_step", None),
-            horizon_cap=_integer(obj, "simulation", "horizon_cap", defaults.horizon_cap),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"simulation: {exc}") from exc
-
-
-def _build_truncation(obj: dict) -> TruncationConfig:
-    _check_keys(obj, "truncation", set(), {"poisson_tail_eps", "m_max_cap"})
-    defaults = TruncationConfig()
-    try:
-        return TruncationConfig(
-            poisson_tail_eps=_number(obj, "truncation", "poisson_tail_eps", defaults.poisson_tail_eps),
-            m_max_cap=_integer(obj, "truncation", "m_max_cap", defaults.m_max_cap),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"truncation: {exc}") from exc
-
-
-def _build_tail(obj: dict) -> SeriesTailConfig:
-    _check_keys(obj, "tail", set(), {"k_tail_eps", "k_max_cap"})
-    defaults = SeriesTailConfig()
-    try:
-        return SeriesTailConfig(
-            k_tail_eps=_number(obj, "tail", "k_tail_eps", defaults.k_tail_eps),
-            k_max_cap=_integer(obj, "tail", "k_max_cap", defaults.k_max_cap),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"tail: {exc}") from exc
 
 
 def parse_config(path: str) -> RunConfig:
@@ -238,25 +186,18 @@ def parse_config(path: str) -> RunConfig:
         raw, "config", {"system", "costs"},
         {"policy", "optimizer", "simulation", "truncation", "tail"},
     )
-    system = _build_system(raw["system"])
-    costs_obj = raw["costs"]
-    _check_keys(costs_obj, "costs", {"c_i", "c_rho", "c_r"})
-    try:
-        costs = CostParams(
-            c_i=_number(costs_obj, "costs", "c_i"),
-            c_rho=_number(costs_obj, "costs", "c_rho"),
-            c_r=_number(costs_obj, "costs", "c_r"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"costs: {exc}") from exc
+    system = _build(SystemModel, raw["system"], "system")
     return RunConfig(
         system=system,
-        costs=costs,
+        costs=_build(CostParams, raw["costs"], "costs"),
         policy=_build_policy(raw["policy"], system) if "policy" in raw else None,
-        optimizer=_build_optimizer(raw.get("optimizer", {})),
-        simulation=_build_simulation(raw["simulation"]) if "simulation" in raw else None,
-        truncation=_build_truncation(raw.get("truncation", {})),
-        tail=_build_tail(raw.get("tail", {})),
+        optimizer=_build(OptimizerConfig, raw.get("optimizer", {}), "optimizer"),
+        simulation=(
+            _build(SimulationConfig, raw["simulation"], "simulation")
+            if "simulation" in raw else None
+        ),
+        truncation=_build(TruncationConfig, raw.get("truncation", {}), "truncation"),
+        tail=_build(SeriesTailConfig, raw.get("tail", {}), "tail"),
     )
 
 
@@ -281,51 +222,11 @@ def _round12(value):
 
 
 def _echo_config(config: RunConfig) -> dict:
-    return {
-        "system": {
-            "lambda": config.system.lam,
-            "components": [
-                {
-                    "name": c.name, "h1": c.h1, "d": c.d, "alpha": c.alpha,
-                    "beta": c.beta, "y_alpha": c.y_alpha, "y_beta": c.y_beta,
-                    "w_mu": c.w_mu, "w_sigma": c.w_sigma,
-                }
-                for c in config.system.components
-            ],
-        },
-        "costs": {"c_i": config.costs.c_i, "c_rho": config.costs.c_rho, "c_r": config.costs.c_r},
-        "policy": (
-            {"tau": config.policy.tau, "h2": list(config.policy.h2)}
-            if config.policy
-            else None
-        ),
-        "optimizer": {
-            "multistart_count": config.optimizer.multistart_count,
-            "max_iterations": config.optimizer.max_iterations,
-            "x_tol": config.optimizer.x_tol,
-            "f_tol": config.optimizer.f_tol,
-            "tau_bounds": list(config.optimizer.tau_bounds),
-            "seed": config.optimizer.seed,
-        },
-        "simulation": (
-            {
-                "replications": config.simulation.replications,
-                "seed": config.simulation.seed,
-                "sub_step": config.simulation.sub_step,
-                "horizon_cap": config.simulation.horizon_cap,
-            }
-            if config.simulation
-            else None
-        ),
-        "truncation": {
-            "poisson_tail_eps": config.truncation.poisson_tail_eps,
-            "m_max_cap": config.truncation.m_max_cap,
-        },
-        "tail": {
-            "k_tail_eps": config.tail.k_tail_eps,
-            "k_max_cap": config.tail.k_max_cap,
-        },
-    }
+    echo = asdict(config)
+    system = echo["system"]
+    # the report puts lambda first, the reverse of SystemModel's field order
+    echo["system"] = {"lambda": system["lam"], "components": system["components"]}
+    return echo
 
 
 def _report(command: str, config: RunConfig, outputs: dict, warnings: list[str], started: float) -> dict:

@@ -29,7 +29,6 @@ __all__ = [
     "series_survival_over_times",
     "failure_time_cdf",
     "detection_time_cdf",
-    "reliability_curve",
 ]
 
 
@@ -138,17 +137,3 @@ def detection_time_cdf(
     """CDF of the first time an on-condition threshold is reached or a hard
     failure occurs; dominates the failure time CDF pointwise."""
     return 1.0 - series_survival(model, t, h2, trunc)
-
-
-def reliability_curve(
-    model: SystemModel,
-    t_grid: Sequence[float],
-    thresholds: Sequence[float],
-    trunc: TruncationConfig | None = None,
-) -> list[tuple[float, float]]:
-    """Pointwise survival along a nondecreasing time grid."""
-    grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(grid) < 0.0):
-        raise DomainError("t_grid must be nondecreasing")
-    survival = series_survival_over_times(model, grid, thresholds, trunc)
-    return [(float(t), float(s)) for t, s in zip(grid, survival)]

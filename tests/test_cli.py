@@ -88,6 +88,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"policy.h2\[1\]"):
             parse_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("first", [-1.0, math.nan])
+    def test_bad_threshold_is_named_by_index(self, tmp_path, first):
+        payload = small_config()
+        payload["policy"]["h2"] = [first, 7.0]
+        path = write_config(tmp_path, payload)
+        # json.dumps writes nan as the raw token NaN, which json.load reads back
+        assert ("NaN" in Path(path).read_text()) == math.isnan(first)
+        with pytest.raises(ConfigError, match=r"policy\.h2\[0\]"):
+            parse_config(path)
+
+    def test_missing_key_and_empty_list_are_named(self, tmp_path):
+        payload = small_config()
+        del payload["system"]["components"][0]["d"]
+        with pytest.raises(ConfigError, match=r"system\.components\[0\]: missing keys \['d'\]"):
+            parse_config(write_config(tmp_path, payload))
+        payload["system"]["components"] = []
+        with pytest.raises(ConfigError, match=r"system\.components must be a non-empty list"):
+            parse_config(write_config(tmp_path, payload))
+
+    def test_readme_schema_parses(self, tmp_path):
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        schema = readme.split("### Config schema", 1)[1]
+        schema = schema.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "schema.json"
+        path.write_text(schema)
+        config = parse_config(str(path))
+        assert config.system.lam == 2.5e-5
+        assert config.simulation.sub_step is None
+
     def test_unknown_keys_rejected(self, tmp_path):
         payload = small_config()
         payload["extra_section"] = {}
@@ -273,6 +302,61 @@ class TestSimulateCommand:
         assert Path(report["outputs"]["first_passage_csv"]).exists()
 
 
+class TestConfigEcho:
+    """The config echo of a report, compared as text, so that key order
+    counts as well as values."""
+
+    TABLE2_TAU24 = (
+        '{"system": {"lambda": 2.5e-05, "components": ['
+        '{"name": "component-1", "h1": 0.00125, "d": 1.5, "alpha": 0.7, "beta": 0.3, '
+        '"y_alpha": 0.4, "y_beta": 1.0, "w_mu": 1.2, "w_sigma": 0.2}, '
+        '{"name": "component-2", "h1": 0.00125, "d": 1.5, "alpha": 0.7, "beta": 0.3, '
+        '"y_alpha": 0.4, "y_beta": 1.0, "w_mu": 1.2, "w_sigma": 0.2}, '
+        '{"name": "component-3", "h1": 0.00127, "d": 1.4, "alpha": 0.8, "beta": 0.3, '
+        '"y_alpha": 0.5, "y_beta": 1.0, "w_mu": 1.22, "w_sigma": 0.18}, '
+        '{"name": "component-4", "h1": 0.00127, "d": 1.4, "alpha": 0.8, "beta": 0.3, '
+        '"y_alpha": 0.5, "y_beta": 1.0, "w_mu": 1.22, "w_sigma": 0.18}]}, '
+        '"costs": {"c_i": 1.0, "c_rho": 20000.0, "c_r": 100.0}, '
+        '"policy": {"tau": 24.0, "h2": [0.0004637, 0.0004637, 0.0004204, 0.0004204]}, '
+        '"optimizer": {"multistart_count": 8, "max_iterations": 300, "x_tol": 1e-06, '
+        '"f_tol": 1e-08, "tau_bounds": [0.001, 10000.0], "seed": 1}, '
+        '"simulation": {"replications": 20000, "seed": 1, "sub_step": null, '
+        '"horizon_cap": 1000000}, '
+        '"truncation": {"poisson_tail_eps": 1e-12, "m_max_cap": 200}, '
+        '"tail": {"k_tail_eps": 1e-09, "k_max_cap": 1000000}}'
+    )
+    DEFAULTS = (
+        '{"system": {"lambda": 0.02, "components": ['
+        '{"name": "a", "h1": 10.0, "d": 2.0, "alpha": 0.8, "beta": 0.5, '
+        '"y_alpha": 0.7, "y_beta": 1.0, "w_mu": 1.0, "w_sigma": 0.3}, '
+        '{"name": "1", "h1": 12.0, "d": 2.2, "alpha": 0.6, "beta": 0.4, '
+        '"y_alpha": 0.9, "y_beta": 1.2, "w_mu": 1.1, "w_sigma": 0.25}]}, '
+        '"costs": {"c_i": 1.0, "c_rho": 300.0, "c_r": 80.0}, '
+        '"policy": null, '
+        '"optimizer": {"multistart_count": 16, "max_iterations": 500, "x_tol": 1e-06, '
+        '"f_tol": 1e-08, "tau_bounds": [0.001, 10000.0], "seed": 0}, '
+        '"simulation": null, '
+        '"truncation": {"poisson_tail_eps": 1e-12, "m_max_cap": 200}, '
+        '"tail": {"k_tail_eps": 1e-09, "k_max_cap": 1000000}}'
+    )
+
+    def test_evaluate_echoes_every_section(self, tmp_path):
+        out = tmp_path / "eval.json"
+        code = main(["evaluate", "--config", str(CONFIG_DIR / "table2_tau24.json"),
+                     "--out", str(out)])
+        assert code == 0
+        assert json.dumps(load_json(out)["config"]) == self.TABLE2_TAU24
+
+    def test_optimize_echoes_the_defaults(self, tmp_path):
+        payload = {"system": small_config()["system"], "costs": small_config()["costs"]}
+        del payload["system"]["components"][1]["name"]  # named by its index
+        out = tmp_path / "opt.json"
+        code = main(["optimize", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--fixed-tau", "6", "--multistart", "1"])
+        assert code == 0
+        assert json.dumps(load_json(out)["config"]) == self.DEFAULTS
+
+
 class TestExitCodes:
     def test_computation_error_is_exit_3(self, tmp_path):
         payload = small_config()
@@ -307,6 +391,29 @@ class TestExitCodes:
                      "--seed", "-1", "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value", [
+        ("optimizer.tau_bounds[0]", ["a", 5]),
+        ("optimizer.tau_bounds[0]", [None, 5]),
+        ("optimizer.tau_bounds[0]", [True, 5]),
+        ("optimizer.tau_bounds", [1, 2, 3]),
+        ("optimizer.seed", 1.5),
+        ("simulation.seed", 1.5),
+        ("system.components[0].h1", 10**400),  # a 401-digit integer literal
+    ], ids=["bound-string", "bound-null", "bound-bool", "three-bounds",
+            "fractional-optimizer-seed", "fractional-simulation-seed", "h1-401-digits"])
+    def test_malformed_value_is_exit_2(self, tmp_path, capsys, where, value):
+        payload = small_config()
+        if where.startswith("system"):
+            payload["system"]["components"][0]["h1"] = value
+        else:
+            section, key = where.split(".")
+            payload[section][key.split("[")[0]] = value
+        command = "optimize" if where.startswith("optimizer") else "evaluate"
+        code = main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"config error: {where} " in capsys.readouterr().err
 
     def test_missing_config_file_is_exit_4(self, tmp_path):
         code = main(["evaluate", "--config", str(tmp_path / "nope.json")])

@@ -15,7 +15,6 @@ from cbmopt.system_reliability import (
     as_thresholds,
     detection_time_cdf,
     failure_time_cdf,
-    reliability_curve,
     series_survival,
     series_survival_over_times,
 )
@@ -179,16 +178,11 @@ class TestFirstPassageCdfs:
 
     def test_nonincreasing_curve(self, sane_system):
         grid = np.linspace(0.0, 40.0, 21)
-        curve = reliability_curve(
+        curve = series_survival_over_times(
             sane_system, grid, [0.8 * c.h1 for c in sane_system.components]
         )
-        assert curve[0] == (0.0, 1.0)
-        for (_, a), (_, b) in zip(curve, curve[1:]):
-            assert b <= a + 1e-10
-
-    def test_curve_rejects_unsorted_grid(self, sane_system):
-        with pytest.raises(DomainError):
-            reliability_curve(sane_system, [0.0, 2.0, 1.0], sane_system.h1_vector)
+        assert curve[0] == 1.0
+        assert np.all(np.diff(curve) <= 1e-10)
 
     def test_monte_carlo_failure_cdf(self):
         # simple system, moderate shock rate: empirical first-passage CDF
