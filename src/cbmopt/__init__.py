@@ -23,12 +23,9 @@ from .failure_model import (
     ComponentParams,
     SystemModel,
     TruncationConfig,
-    damage_sum_density,
     event_probabilities,
-    pure_degradation_cdf,
     shock_survival_prob,
-    threshold_cdf_given_m,
-    total_degradation_cdf,
+    threshold_cdf_block,
 )
 from .maintenance_policy import (
     CostBreakdown,
@@ -38,13 +35,6 @@ from .maintenance_policy import (
     cost_rate,
     expected_downtime,
     expected_inspections,
-)
-from .numerics import (
-    ToleranceConfig,
-    adaptive_integrate,
-    gamma_cdf,
-    regularized_lower_gamma,
-    std_normal_cdf,
 )
 from .optimizer import (
     OptimizationResult,
@@ -60,11 +50,7 @@ from .simulator import (
     estimate_cost_rate,
     simulate_many,
 )
-from .system_reliability import (
-    detection_time_cdf,
-    failure_time_cdf,
-    series_survival,
-)
+from .system_reliability import series_survival_over_times
 
 __all__ = [
     "__version__",
@@ -86,28 +72,18 @@ __all__ = [
     "SimulationEstimate",
     "SystemModel",
     "TailCapError",
-    "ToleranceConfig",
     "TruncationCapError",
     "TruncationConfig",
-    "adaptive_integrate",
     "cost_rate",
-    "damage_sum_density",
-    "detection_time_cdf",
     "empirical_first_passage_cdf",
     "estimate_cost_rate",
     "event_probabilities",
     "expected_downtime",
     "expected_inspections",
-    "failure_time_cdf",
-    "gamma_cdf",
     "optimize_fixed_tau",
     "optimize_policy",
-    "pure_degradation_cdf",
-    "regularized_lower_gamma",
-    "series_survival",
+    "series_survival_over_times",
     "shock_survival_prob",
     "simulate_many",
-    "std_normal_cdf",
-    "threshold_cdf_given_m",
-    "total_degradation_cdf",
+    "threshold_cdf_block",
 ]

@@ -27,13 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import CbmError, ConfigError, DomainError
 from .failure_model import SystemModel, TruncationConfig
-from .maintenance_policy import (
-    CostParams,
-    Policy,
-    SeriesTailConfig,
-    cost_rate,
-    validate_policy,
-)
+from .maintenance_policy import CostParams, Policy, SeriesTailConfig, cost_rate
 from .optimizer import OptimizerConfig, optimize_fixed_tau, optimize_policy
 from .simulator import SimulationConfig, empirical_first_passage_cdf, estimate_cost_rate
 from .system_reliability import series_survival_over_times
@@ -278,10 +272,10 @@ def _curve_path(out_path: str, suffix: str = "") -> str:
 def cmd_reliability(config: RunConfig, t_max: float, steps: int, out_path: str) -> dict:
     """System survival and first-passage CDFs on an even time grid."""
     started = time.time()
-    if not (t_max > 0.0):
-        raise ConfigError(f"t-max must be positive, got {t_max}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ConfigError(f"--t-max must be finite and positive, got {t_max}")
     if steps < 2:
-        raise ConfigError(f"steps must be at least 2, got {steps}")
+        raise ConfigError(f"--steps must be at least 2, got {steps}")
     grid = np.linspace(0.0, t_max, steps)
     h1 = config.system.h1_vector
     rows = [h1] if config.policy is None else [h1, config.policy.h2]
@@ -310,7 +304,6 @@ def cmd_evaluate(config: RunConfig) -> dict:
     started = time.time()
     if config.policy is None:
         raise ConfigError("evaluate requires a policy section in the config")
-    validate_policy(config.system, config.policy)
     breakdown = cost_rate(
         config.system, config.policy, config.costs, config.truncation, config.tail
     )
@@ -409,7 +402,10 @@ def cmd_simulate(
     started = time.time()
     if config.policy is None:
         raise ConfigError("simulate requires a policy section in the config")
-    validate_policy(config.system, config.policy)
+    if fpt_t_max is not None and not (math.isfinite(fpt_t_max) and fpt_t_max > 0.0):
+        raise ConfigError(f"--fpt-t-max must be finite and positive, got {fpt_t_max}")
+    if fpt_steps < 2:
+        raise ConfigError(f"--fpt-steps must be at least 2, got {fpt_steps}")
     sim = config.simulation or SimulationConfig()
     if reps is not None:
         sim = replace(sim, replications=reps)

@@ -1,4 +1,4 @@
-"""Per-component failure law: shock survival, degradation CDFs, and status regions.
+"""Per-component failure law: shock survival, the degradation CDF block, status regions.
 
 A component wears continuously (gamma process with shape alpha*t and rate
 beta) and receives damage jumps from system-wide shocks arriving as a
@@ -10,9 +10,11 @@ on-condition level h2 marks the component for preventive replacement.
 
 Given m shocks, the degradation is a sum of two gamma variates with
 different rates, wear gamma(alpha*t, beta) and jumps gamma(m*y_alpha,
-y_beta). Its CDF is evaluated without quadrature, as an exact
-negative-binomial mixture of regularized incomplete gammas with a provable
-truncation bound.
+y_beta). threshold_cdf_block evaluates its CDF for every shock count and
+time at once, without quadrature, as an exact negative-binomial mixture of
+regularized incomplete gammas with a provable truncation bound; its m = 0
+row is the wear CDF alone. Series survival, the cost rate and the status
+probabilities all read the law through that block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, TruncationCapError
-from .numerics import gamma_cdf, negligible_shape, std_normal_cdf
+from .numerics import negligible_shape
 
 # unused here; perfbench/tracing.py wraps this module attribute by name
 from .numerics import adaptive_integrate_vector  # noqa: F401
@@ -34,11 +36,7 @@ __all__ = [
     "SystemModel",
     "TruncationConfig",
     "shock_survival_prob",
-    "pure_degradation_cdf",
-    "damage_sum_density",
-    "threshold_cdf_given_m",
     "threshold_cdf_block",
-    "total_degradation_cdf",
     "event_probabilities",
     "poisson_weights",
 ]
@@ -158,69 +156,17 @@ def poisson_weights(mu: float, trunc: TruncationConfig | None = None) -> list[fl
 
 def shock_survival_prob(c: ComponentParams) -> float:
     """Probability that one shock's magnitude stays below the hard threshold."""
-    return std_normal_cdf((c.d - c.w_mu) / c.w_sigma)
-
-
-def pure_degradation_cdf(c: ComponentParams, x: float, t: float) -> float:
-    """Probability that continuous wear alone is at most x by time t."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    return gamma_cdf(x, c.alpha * t, c.beta)
-
-
-def damage_sum_density(c: ComponentParams, m: int, u):
-    """Density of the sum of m i.i.d. damage jumps at u > 0.
-
-    Gamma additivity for a common rate gives gamma(m * y_alpha, y_beta).
-    Accepts a scalar or an array of evaluation points.
-    """
-    if m < 1:
-        raise DomainError("damage_sum_density requires m >= 1; m = 0 is a point mass at 0")
-    shape = m * c.y_alpha
-    rate = c.y_beta
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0):
-        raise DomainError("density is defined for u > 0 only")
-    log_pdf = (
-        shape * math.log(rate)
-        + (shape - 1.0) * np.log(u_arr)
-        - rate * u_arr
-        - math.lgamma(shape)
-    )
-    out = np.exp(log_pdf)
-    return float(out) if np.isscalar(u) or out.ndim == 0 else out
-
-
-def threshold_cdf_given_m(c: ComponentParams, x: float, t: float, m: int) -> float:
-    """Probability that wear plus m damage jumps is at most x by time t.
-
-    Wear is gamma(alpha*t, beta) and the m jumps sum to
-    gamma(m*y_alpha, y_beta), so this is the CDF of a sum of two gammas,
-    evaluated as an exact negative-binomial mixture of incomplete gammas
-    (see threshold_cdf_block).
-    """
-    if m < 0:
-        raise DomainError(f"shock count must be >= 0, got {m}")
-    return float(_cdfs_by_shock_count(c, x, t, int(m))[m])
-
-
-def _cdfs_by_shock_count(c: ComponentParams, x, t: float, max_m: int) -> np.ndarray:
-    """threshold_cdf_block at one time t: one level x, or levels on a leading axis."""
-    levels = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(levels) & (levels >= 0.0)):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    block = threshold_cdf_block(c, levels[..., None], np.array([float(t)]), max_m)
-    return np.moveaxis(block[..., 0], 0, -1)
+    return float(special.ndtr((c.d - c.w_mu) / c.w_sigma))
 
 
 def threshold_cdf_block(c: ComponentParams, x, times, max_m: int) -> np.ndarray:
-    """threshold_cdf_given_m for every m = 0..max_m and every time at once.
+    """P(wear(t) + m damage jumps <= x) for every m = 0..max_m and every
+    time t at once.
 
-    times is one-dimensional, and the levels x broadcast against it: one
-    level, one level per time, or levels of shape (L, 1) to take L levels
-    at every time. The result has shape (max_m + 1,) followed by the
+    Wear is gamma(alpha*t, beta) and the m jumps sum to gamma(m*y_alpha,
+    y_beta). times is one-dimensional, and the levels x broadcast against
+    it: one level, one level per time, or levels of shape (L, 1) to take L
+    levels at every time. The result has shape (max_m + 1,) followed by the
     broadcast shape of x and times. The m = 0 row is the wear CDF alone and
     the t = 0 columns the jump-sum CDF alone; every other cell is the exact
     gamma-sum mixture of _gamma_sum_cdf, one loop for all of them.
@@ -351,22 +297,6 @@ def _log_levels(z: np.ndarray) -> np.ndarray:
     return logs(flat[starts])[starts.cumsum() - 1].reshape(z.shape)
 
 
-def total_degradation_cdf(
-    c: ComponentParams,
-    lam: float,
-    x: float,
-    t: float,
-    trunc: TruncationConfig | None = None,
-) -> float:
-    """Probability that total degradation (wear + shock damage) is at most x by t."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"shock rate must be finite and >= 0, got {lam}")
-    weights = poisson_weights(lam * t, trunc)
-    below = _cdfs_by_shock_count(c, x, t, len(weights) - 1)
-    total = float(np.dot(weights, below))
-    return min(max(total, 0.0), 1.0)
-
-
 def event_probabilities(
     c: ComponentParams,
     lam: float,
@@ -386,11 +316,14 @@ def event_probabilities(
         raise DomainError(f"h2 must lie in [0, h1]; got h2={h2}, h1={c.h1}")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DomainError(f"shock rate must be finite and >= 0, got {lam}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     weights = poisson_weights(lam * t, trunc)
     max_m = len(weights) - 1
     # the m-th term also needs all m shocks survived
     alive = np.array(weights) * shock_survival_prob(c) ** np.arange(max_m + 1)
-    below_h2, below_h1 = _cdfs_by_shock_count(c, [h2, c.h1], t, max_m)
+    block = threshold_cdf_block(c, np.array([[h2], [c.h1]]), np.array([float(t)]), max_m)
+    below_h2, below_h1 = block[..., 0].T
     p_safe = float(np.dot(alive, below_h2))
     p_warn = float(np.dot(alive, np.maximum(below_h1 - below_h2, 0.0)))
     p_safe = min(max(p_safe, 0.0), 1.0)

@@ -115,11 +115,6 @@ class SeriesTailConfig:
 DEFAULT_TAIL = SeriesTailConfig()
 
 
-def validate_policy(model: SystemModel, policy: Policy) -> tuple[float, ...]:
-    """Check the policy thresholds against the model and return them."""
-    return as_thresholds(model, policy.h2)
-
-
 def _wear_bound_end(model: SystemModel, h2, tau: float, tail: SeriesTailConfig) -> int | None:
     """An epoch k <= _FIRST_BATCH by which the ladder surely ends, or None.
 
@@ -160,7 +155,7 @@ def _cdf_ladder(
     probe, and at the nodes carried (one row of 15 per interval), which
     _downtime_from_ladder needs.
     """
-    h2 = validate_policy(model, policy)
+    h2 = as_thresholds(model, policy.h2)
     rows = np.array([h2, model.h1_vector])
     tau = policy.tau
     tail = tail or DEFAULT_TAIL

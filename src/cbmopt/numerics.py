@@ -1,8 +1,9 @@
-"""Special functions and adaptive quadrature.
+"""The negligible gamma shape test and adaptive Gauss-Kronrod quadrature.
 
 Everything here is deterministic given its inputs. The gamma distribution
 is parameterized by (shape, rate) throughout: the mean of a gamma(shape,
-rate) variate is shape/rate.
+rate) variate is shape/rate. The gamma and normal CDFs themselves are
+scipy's special.gammainc and special.ndtr, called where they are needed.
 """
 
 from __future__ import annotations
@@ -12,16 +13,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, IntegrationError
 
 __all__ = [
     "ToleranceConfig",
-    "regularized_lower_gamma",
-    "gamma_cdf",
     "negligible_shape",
-    "std_normal_cdf",
     "adaptive_integrate",
 ]
 
@@ -44,15 +41,6 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def regularized_lower_gamma(shape: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(shape, x), the gamma(shape, 1) CDF."""
-    if not math.isfinite(shape) or shape <= 0.0:
-        raise DomainError(f"shape must be finite and positive, got {shape}")
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and nonnegative, got {x}")
-    return float(special.gammainc(shape, x))
-
-
 def negligible_shape(shape):
     """True where a gamma shape (a float or an array) is zero or subnormal.
 
@@ -61,29 +49,6 @@ def negligible_shape(shape):
     about 1, so callers take the CDF as 1 there.
     """
     return shape < np.finfo(float).tiny
-
-
-def gamma_cdf(x: float, shape: float, rate: float) -> float:
-    """CDF of the gamma(shape, rate) law at x.
-
-    A negligible shape is the point mass at zero, so the CDF is 1 for any x >= 0.
-    """
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise DomainError(f"rate must be finite and positive, got {rate}")
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and nonnegative, got {x}")
-    if shape < 0.0 or not math.isfinite(shape):
-        raise DomainError(f"shape must be finite and nonnegative, got {shape}")
-    if negligible_shape(shape):
-        return 1.0
-    return regularized_lower_gamma(shape, rate * x)
-
-
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF, accurate in both tails."""
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
-    return float(special.ndtr(z))
 
 
 # Gauss-Kronrod 7-15 nodes on [-1, 1]; Gauss weights are zero on the

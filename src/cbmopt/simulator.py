@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, HorizonCapError
 from .failure_model import SystemModel
-from .maintenance_policy import CostParams, Policy, validate_policy
+from .maintenance_policy import CostParams, Policy
 from .system_reliability import as_thresholds
 
 __all__ = [
@@ -310,7 +310,7 @@ def _simulate_columns(
 ) -> CycleOutcome:
     """The cycles of simulate_many as one CycleOutcome of arrays, in the
     same order; failure_time is inf where a cycle ended preventively."""
-    h2 = np.array(validate_policy(model, policy))[:, None]
+    h2 = np.array(as_thresholds(model, policy.h2))[:, None]
     tau = policy.tau
     sub_step = config.sub_step if config.sub_step is not None else tau / 1024.0
     blocks = []

@@ -1,17 +1,15 @@
-"""Series-system survival and the first-passage-time CDFs.
+"""Series-system survival, the source of the first-passage-time CDFs.
 
-One generic survival routine serves three laws that differ only in the
-threshold vector: system reliability (critical thresholds), the failure
-time CDF, and the detection time CDF (on-condition thresholds). All
-components share the same shock count, so conditioning on it makes them
-independent and turns the system probability into a product inside the
-shock-count sum.
+One survival routine serves three laws that differ only in the threshold
+vector: system reliability at the critical thresholds h1, whose complement
+is the failure-time CDF, and survival at the on-condition thresholds h2,
+whose complement is the detection-time CDF. Stacked threshold rows give
+several laws in one call. All components share the same shock count, so
+conditioning on it makes them independent and turns the system
+probability into a product inside the shock-count sum.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Sequence
 
 import numpy as np
 
@@ -24,12 +22,7 @@ from .failure_model import (
     threshold_cdf_block,
 )
 
-__all__ = [
-    "series_survival",
-    "series_survival_over_times",
-    "failure_time_cdf",
-    "detection_time_cdf",
-]
+__all__ = ["series_survival_over_times"]
 
 
 def as_thresholds(model: SystemModel, thresholds) -> tuple[float, ...]:
@@ -58,26 +51,14 @@ def _threshold_array(model: SystemModel, thresholds) -> np.ndarray:
     return values
 
 
-def series_survival(
-    model: SystemModel,
-    t: float,
-    thresholds: Sequence[float],
-    trunc: TruncationConfig | None = None,
-) -> float:
-    """Probability that, by time t, no component has hard-failed or crossed
-    its threshold."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    return float(series_survival_over_times(model, np.array([t]), thresholds, trunc)[0])
-
-
 def series_survival_over_times(
     model: SystemModel,
     times,
     thresholds,
     trunc: TruncationConfig | None = None,
 ) -> np.ndarray:
-    """series_survival on an array of times, batched for speed.
+    """Probability that, by each time, no component has hard-failed or
+    crossed its threshold.
 
     thresholds of shape (C,) give survival of shape (T,), and L rows of
     shape (L, C) give (L, T): every row at every time. With L rows, times
@@ -117,23 +98,3 @@ def series_survival_over_times(
         factors = factors * survive_powers.reshape((-1,) + ones + (1,)) * block
     return np.clip(factors.sum(axis=0), 0.0, 1.0).reshape(shape)
 
-
-def failure_time_cdf(
-    model: SystemModel,
-    t: float,
-    trunc: TruncationConfig | None = None,
-) -> float:
-    """CDF of the system failure time: first hard failure or crossing of
-    any critical threshold."""
-    return 1.0 - series_survival(model, t, model.h1_vector, trunc)
-
-
-def detection_time_cdf(
-    model: SystemModel,
-    t: float,
-    h2: Sequence[float],
-    trunc: TruncationConfig | None = None,
-) -> float:
-    """CDF of the first time an on-condition threshold is reached or a hard
-    failure occurs; dominates the failure time CDF pointwise."""
-    return 1.0 - series_survival(model, t, h2, trunc)

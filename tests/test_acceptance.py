@@ -21,11 +21,18 @@ a written discrepancy report rather than numeric agreement (see README).
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cbmopt.failure_model import SystemModel, event_probabilities, pure_degradation_cdf
+from cbmopt.failure_model import (
+    ComponentParams,
+    SystemModel,
+    event_probabilities,
+    shock_survival_prob,
+    threshold_cdf_block,
+)
 from cbmopt.maintenance_policy import (
     CostParams,
     Policy,
@@ -33,7 +40,6 @@ from cbmopt.maintenance_policy import (
     expected_downtime,
     expected_inspections,
 )
-from cbmopt.numerics import regularized_lower_gamma, std_normal_cdf
 from cbmopt.optimizer import (
     OptimizerConfig,
     _PolicyCodec,
@@ -47,12 +53,7 @@ from cbmopt.simulator import (
     estimate_cost_rate,
     simulate_many,
 )
-from cbmopt.system_reliability import (
-    detection_time_cdf,
-    failure_time_cdf,
-    series_survival,
-    series_survival_over_times,
-)
+from cbmopt.system_reliability import series_survival_over_times
 
 from conftest import random_component, random_system, table2_system, table3_system
 
@@ -60,12 +61,14 @@ BENCH_COSTS = CostParams(c_i=1.0, c_rho=20000.0, c_r=100.0)
 
 
 def tau_at_quantile(model, q):
+    """The failure-time quantile q by bisection on 1 - survival at h1."""
+    h1 = model.h1_vector
     lo, hi = 1e-3, 1.0
-    while failure_time_cdf(model, hi) < q:
+    while 1.0 - series_survival_over_times(model, [hi], h1)[0] < q:
         hi *= 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if failure_time_cdf(model, mid) < q:
+        if 1.0 - series_survival_over_times(model, [mid], h1)[0] < q:
             lo = mid
         else:
             hi = mid
@@ -98,17 +101,14 @@ def test_criterion_1_property_suite():
     model = random_system(np.random.default_rng(12), 3)
     h2 = [0.6 * c.h1 for c in model.components]
     ts = np.linspace(0.0, 30.0, 11)
-    survival = [series_survival(model, float(t), model.h1_vector) for t in ts]
-    assert all(b <= a + 1e-10 for a, b in zip(survival, survival[1:]))
-    for frac_lo, frac_hi in [(0.3, 0.6), (0.6, 0.9)]:
-        for t in [4.0, 12.0, 24.0]:
-            lo = series_survival(model, t, [frac_lo * c.h1 for c in model.components])
-            hi = series_survival(model, t, [frac_hi * c.h1 for c in model.components])
-            assert hi >= lo - 1e-10
-    for t in ts:
-        assert detection_time_cdf(model, float(t), h2) >= failure_time_cdf(
-            model, float(t)
-        ) - 1e-10
+    survival = series_survival_over_times(model, ts, model.h1_vector)
+    assert np.all(np.diff(survival) <= 1e-10)
+    # rows at threshold fractions 0.3, 0.6 and 0.9, columns at t = 4, 12, 24
+    rows = [[f * c.h1 for c in model.components] for f in (0.3, 0.6, 0.9)]
+    by_fraction = series_survival_over_times(model, [4.0, 12.0, 24.0], rows)
+    assert np.all(np.diff(by_fraction, axis=0) >= -1e-10)
+    detection, failure = 1.0 - series_survival_over_times(model, ts, [h2, model.h1_vector])
+    assert np.all(detection >= failure - 1e-10)
 
     # cycle identities and cost homogeneity
     rng = np.random.default_rng(13)
@@ -124,25 +124,29 @@ def test_criterion_1_property_suite():
         scaled = cost_rate(model, policy, CostParams(4.2, 690.0, 225.0)).cr
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
-    # no shocks reduces the system law to a product of wear CDFs
+    # no shocks reduces the system law to a product of wear CDFs, each the
+    # m = 0 row of its component's block
     quiet = SystemModel(components=model.components, lam=0.0)
-    for t in [2.0, 9.0, 21.0]:
-        product = 1.0
-        for c, v in zip(quiet.components, h2):
-            product *= pure_degradation_cdf(c, v, t)
-        assert series_survival(quiet, t, h2) == pytest.approx(product, abs=1e-12)
+    times = np.array([2.0, 9.0, 21.0])
+    product = np.prod(
+        [threshold_cdf_block(c, v, times, 0)[0] for c, v in zip(quiet.components, h2)], axis=0
+    )
+    assert series_survival_over_times(quiet, times, h2) == pytest.approx(product, abs=1e-12)
 
-    # special functions against frozen mpmath oracles (dps = 50)
-    gamma_oracle = [
+    # the gamma and normal laws on the library's path against frozen mpmath
+    # oracles (dps = 50): a unit component's wear at time t is gamma(t, 1),
+    # so the block's m = 0 row at level x and time s is P(s, x); its shock
+    # survival at w_mu = 1 - z is Phi(z)
+    unit = ComponentParams("unit", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, w_mu=0.0, w_sigma=1.0)
+    shapes, xs, expected = np.array([
         (0.4, 0.001, 0.071092397895333076),
         (0.7, 1.5, 0.86628274334615259),
         (2.5, 0.75, 0.086930185455604539),
         (3.0, 0.5, 0.014387677966970687),
         (30.0, 20.0, 0.021818217525557392),
         (30.0, 45.0, 0.9926628007022035),
-    ]
-    for shape, x, expected in gamma_oracle:
-        assert regularized_lower_gamma(shape, x) == pytest.approx(expected, rel=1e-10)
+    ]).T
+    assert threshold_cdf_block(unit, xs, shapes, 0)[0] == pytest.approx(expected, rel=1e-10)
     normal_oracle = [
         (0.0, 0.5),
         (1.0, 0.84134474606854294859),
@@ -151,7 +155,8 @@ def test_criterion_1_property_suite():
         (4.0, 0.99996832875816688008),
     ]
     for z, expected in normal_oracle:
-        assert std_normal_cdf(z) == pytest.approx(expected, abs=1e-12)
+        survival = shock_survival_prob(replace(unit, w_mu=1.0 - z))
+        assert survival == pytest.approx(expected, abs=1e-12)
 
     elapsed = time.time() - started
     assert elapsed < 60.0

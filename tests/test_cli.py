@@ -415,6 +415,20 @@ class TestExitCodes:
         assert code == 2
         assert f"config error: {where} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("reliability", ["--t-max", "inf"]),
+        ("simulate", ["--fpt-t-max", "inf"]),
+        ("simulate", ["--fpt-t-max", "-5"]),
+        ("simulate", ["--fpt-t-max", "0.05", "--fpt-steps", "0"]),
+    ], ids=["t-max-inf", "fpt-t-max-inf", "fpt-t-max-negative", "fpt-steps-0"])
+    def test_bad_grid_flag_is_named(self, tmp_path, capsys, command, flags):
+        code = main([command, "--config", str(CONFIG_DIR / "table2_tau24.json"),
+                     "--out", str(tmp_path / "r.json"), *flags])
+        assert code == 2
+        flag, value = flags[-2:]
+        err = capsys.readouterr().err
+        assert f"config error: {flag} must be" in err and f"got {value}" in err
+
     def test_missing_config_file_is_exit_4(self, tmp_path):
         code = main(["evaluate", "--config", str(tmp_path / "nope.json")])
         assert code == 4

@@ -7,14 +7,14 @@ convolution oracle is scipy's QUADPACK with an algebraic weight.
 """
 
 import math
-
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from cbmopt.errors import DomainError, TruncationCapError
 from cbmopt.failure_model import (
@@ -22,16 +22,13 @@ from cbmopt.failure_model import (
     ComponentParams,
     SystemModel,
     TruncationConfig,
-    damage_sum_density,
     event_probabilities,
     poisson_weights,
-    pure_degradation_cdf,
     shock_survival_prob,
     threshold_cdf_block,
-    threshold_cdf_given_m,
-    total_degradation_cdf,
 )
-from cbmopt.numerics import gamma_cdf, regularized_lower_gamma, std_normal_cdf
+from cbmopt.numerics import negligible_shape
+from cbmopt.system_reliability import series_survival_over_times
 
 from conftest import (
     BENCH_LAMBDA,
@@ -109,68 +106,63 @@ class TestShockSurvival:
 
 
 class TestPureDegradation:
+    """The m = 0 row of threshold_cdf_block: wear alone."""
+
     def test_no_time_no_wear(self):
-        assert pure_degradation_cdf(SANE, 0.5, 0.0) == 1.0
+        assert threshold_cdf_block(SANE, 0.5, [0.0], 0)[0, 0] == 1.0
         # alpha * t = 5e-324 is subnormal, where scipy's gammainc gives 0 for x < ~1
         c = ComponentParams("c", 1.0, 1.0, 1.0, 0.4, 1.0, 1.0, 0.0, 1.0)
-        for x in (0.0, 0.5, 5.0):
-            assert pure_degradation_cdf(c, x, 5e-324) == 1.0
-            assert threshold_cdf_given_m(c, x, 5e-324, 0) == 1.0
+        levels = np.array([[0.0], [0.5], [5.0]])
+        assert np.all(threshold_cdf_block(c, levels, [5e-324], 0) == 1.0)
 
     def test_zero_level_with_positive_shape(self):
         c = ComponentParams("c", 1.0, 1.0, 0.7, 0.3, 1.0, 1.0, 1.0, 1.0)
-        assert pure_degradation_cdf(c, 0.0, 10.0) == 0.0
+        assert threshold_cdf_block(c, 0.0, [10.0], 0)[0, 0] == 0.0
 
     def test_matches_incomplete_gamma(self):
         c = ComponentParams("c", 1.0, 1.0, 0.7, 0.3, 1.0, 1.0, 1.0, 1.0)
-        assert pure_degradation_cdf(c, 5.0, 1.0) == pytest.approx(
-            regularized_lower_gamma(0.7, 1.5), rel=1e-14
+        assert threshold_cdf_block(c, 5.0, [1.0], 0)[0, 0] == pytest.approx(
+            special.gammainc(0.7, 1.5), rel=1e-14
         )
 
     def test_domain(self):
+        # the status law at a negative level, then at a negative time
         with pytest.raises(DomainError):
-            pure_degradation_cdf(SANE, -1.0, 1.0)
+            event_probabilities(SANE, 0.0, 1.0, -1.0)
         with pytest.raises(DomainError):
-            pure_degradation_cdf(SANE, 1.0, -1.0)
+            event_probabilities(SANE, 0.0, -1.0, 1.0)
 
 
 class TestDamageSumDensity:
-    def test_single_jump_closed_form(self):
-        c = ComponentParams("c", 1.0, 1.0, 1.0, 1.0, 0.4, 1.0, 1.0, 1.0)
-        expected = 1.0**-0.6 * math.exp(-1.0) / math.gamma(0.4)
-        assert damage_sum_density(c, 1, 1.0) == pytest.approx(expected, rel=1e-12)
+    """The t = 0 column of threshold_cdf_block: the jump sum alone."""
 
     def test_two_jumps_additivity(self):
+        # two jumps of shape 0.5 sum to gamma(1, 1), the exponential law
         c = ComponentParams("c", 1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0)
-        for u in [0.1, 0.7, 2.3]:
-            assert damage_sum_density(c, 2, u) == pytest.approx(math.exp(-u), rel=1e-12)
+        u = np.array([[0.1], [0.7], [2.3]])
+        assert threshold_cdf_block(c, u, [0.0], 2)[2] == pytest.approx(-np.expm1(-u), rel=1e-12)
 
     def test_three_jumps_against_simulation(self):
         c = ComponentParams("c", 1.0, 1.0, 1.0, 1.0, 0.4, 1.0, 1.0, 1.0)
         rng = np.random.default_rng(2024)
         sums = rng.gamma(0.4, 1.0, size=(1_000_000, 3)).sum(axis=1)
-        width = 0.02
-        kde = np.mean(np.abs(sums - 0.5) < width) / (2.0 * width)
-        assert damage_sum_density(c, 3, 0.5) == pytest.approx(kde, rel=0.02)
-
-    def test_zero_jump_rejected(self):
-        with pytest.raises(DomainError):
-            damage_sum_density(SANE, 0, 1.0)
+        p_hat = float(np.mean(sums <= 0.5))
+        stderr = math.sqrt(p_hat * (1.0 - p_hat) / sums.size)
+        assert abs(threshold_cdf_block(c, 0.5, [0.0], 3)[3, 0] - p_hat) < 3.0 * stderr
 
 
 class TestThresholdCdfGivenM:
+    """Single cells of threshold_cdf_block."""
+
     def test_no_shock_delegates_to_pure_wear(self):
-        for x, t in [(0.5, 2.0), (3.0, 0.0), (0.0, 1.0)]:
-            assert threshold_cdf_given_m(SANE, x, t, 0) == pure_degradation_cdf(
-                SANE, x, t
-            )
+        row = threshold_cdf_block(SANE, [0.5, 3.0, 0.0], [2.0, 0.0, 1.0], 0)[0]
+        assert list(row) == [special.gammainc(SANE.alpha * 2.0, SANE.beta * 0.5), 1.0, 0.0]
 
     def test_zero_level_with_jumps(self):
-        assert threshold_cdf_given_m(SANE, 0.0, 5.0, 1) == 0.0
-        assert threshold_cdf_given_m(SANE, 0.0, 5.0, 3) == 0.0
+        assert np.all(threshold_cdf_block(SANE, 0.0, [5.0], 3)[1:] == 0.0)
 
     def test_frozen_convolution_oracle(self):
-        assert threshold_cdf_given_m(COMP_12, 5.0, 1.0, 2) == pytest.approx(
+        assert threshold_cdf_block(COMP_12, 5.0, [1.0], 2)[2, 0] == pytest.approx(
             CONV_M2_X5_T1, rel=1e-9
         )
 
@@ -182,7 +174,7 @@ class TestThresholdCdfGivenM:
         jump = rng.gamma(0.4, 1.0, size=n)
         p_hat = float(np.mean(wear + jump <= 5.0))
         stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
-        analytic = threshold_cdf_given_m(COMP_12, 5.0, 1.0, 1)
+        analytic = threshold_cdf_block(COMP_12, 5.0, [1.0], 1)[1, 0]
         assert abs(analytic - p_hat) < 3.0 * stderr
 
     def test_bench_scale_deep_tail_agrees_with_simulation(self):
@@ -193,40 +185,39 @@ class TestThresholdCdfGivenM:
         wear = rng.gamma(0.7 * 24.0, 1.0 / 0.3, size=n)
         jump = rng.gamma(0.4, 1.0, size=n)
         p_hat = float(np.mean(wear + jump <= 0.00125))
-        analytic = threshold_cdf_given_m(COMP_12, 0.00125, 24.0, 1)
+        analytic = threshold_cdf_block(COMP_12, 0.00125, [24.0], 1)[1, 0]
         assert p_hat == 0.0
         assert analytic < 3.0 / n
 
     def test_no_wear_at_time_zero(self):
-        expected = regularized_lower_gamma(2 * SANE.y_alpha, SANE.y_beta * 2.0)
+        expected = special.gammainc(2 * SANE.y_alpha, SANE.y_beta * 2.0)
         # the smallest subnormal time leaves a wear shape of exactly zero
-        for t in (0.0, 5e-324):
-            val = threshold_cdf_given_m(SANE, 2.0, t, 2)
-            assert val == pytest.approx(expected, rel=1e-12)
-            assert threshold_cdf_given_m(SANE, 0.0, t, 0) == 1.0
+        times = [0.0, 5e-324]
+        assert threshold_cdf_block(SANE, 2.0, times, 2)[2] == pytest.approx(expected, rel=1e-12)
+        assert np.all(threshold_cdf_block(SANE, 0.0, times, 0)[0] == 1.0)
 
     def test_nonincreasing_in_jump_count(self):
-        vals = [threshold_cdf_given_m(SANE, 6.0, 4.0, m) for m in range(6)]
-        for a, b in zip(vals, vals[1:]):
-            assert b <= a + 1e-10
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            threshold_cdf_given_m(SANE, 1.0, 1.0, -1)
+        vals = threshold_cdf_block(SANE, 6.0, [4.0], 5)[:, 0]
+        assert np.all(np.diff(vals) <= 1e-10)
 
 
 def quadpack_convolution(c: ComponentParams, x: float, t: float, m: int) -> float:
     """P(wear(t) + m jumps <= x) by QUADPACK: the wear CDF integrated against
     the m-jump gamma density, whose u^(a-1) factor is the algebraic weight."""
+    shape = c.alpha * t
+
+    def wear_cdf(level):  # the point mass at zero where the shape is negligible
+        return 1.0 if negligible_shape(shape) else special.gammainc(shape, c.beta * level)
+
     if m == 0:
-        return gamma_cdf(x, c.alpha * t, c.beta)
+        return wear_cdf(x)
     if x == 0.0:
         return 0.0
     a = m * c.y_alpha
     log_scale = a * math.log(c.y_beta) - math.lgamma(a)
 
     def smooth(u):
-        return gamma_cdf(x - u, c.alpha * t, c.beta) * math.exp(log_scale - c.y_beta * u)
+        return wear_cdf(x - u) * math.exp(log_scale - c.y_beta * u)
 
     value, _ = integrate.quad(
         smooth, 0.0, x, weight="alg", wvar=(a - 1.0, 0.0), epsabs=1e-13, epsrel=1e-11, limit=200
@@ -335,42 +326,42 @@ def test_extreme_parameters_give_a_cdf_or_a_typed_error(
     assert np.all(high >= low - 1e-10)
 
 
+def soft_system(c: ComponentParams, lam: float, h1: float) -> SystemModel:
+    """c alone, with critical level h1 and a hard threshold that no shock
+    reaches (shock survival is 1.0 exactly): its series survival at a
+    level x <= h1 is the total degradation CDF."""
+    return SystemModel(components=(replace(c, h1=h1, d=c.w_mu + 40.0 * c.w_sigma),), lam=lam)
+
+
 class TestTotalDegradationCdf:
     def test_no_shocks_reduces_to_pure_wear(self):
-        for x, t in [(2.0, 3.0), (10.0, 1.0)]:
-            assert total_degradation_cdf(SANE, 0.0, x, t) == pytest.approx(
-                pure_degradation_cdf(SANE, x, t), abs=1e-12
-            )
+        xs, ts = np.array([2.0, 10.0]), np.array([3.0, 1.0])
+        total = series_survival_over_times(soft_system(SANE, 0.0, 10.0), ts[:, None], xs[:, None])
+        assert total[:, 0] == pytest.approx(threshold_cdf_block(SANE, xs, ts, 0)[0], abs=1e-12)
 
     def test_certain_at_time_zero(self):
-        assert total_degradation_cdf(SANE, 0.1, 3.0, 0.0) == 1.0
+        assert series_survival_over_times(soft_system(SANE, 0.1, 3.0), [0.0], [3.0])[0] == 1.0
 
     def test_bench_rate_keeps_only_the_no_shock_term(self):
         # lam * t about 6e-4, so every m >= 1 term is negligible
-        full = total_degradation_cdf(COMP_12, BENCH_LAMBDA, 5.0, 24.0)
-        m0 = threshold_cdf_given_m(COMP_12, 5.0, 24.0, 0) * math.exp(
-            -BENCH_LAMBDA * 24.0
-        )
-        assert full == pytest.approx(m0, rel=1e-3)
+        full = series_survival_over_times(soft_system(COMP_12, BENCH_LAMBDA, 5.0), [24.0], [5.0])
+        m0 = threshold_cdf_block(COMP_12, 5.0, [24.0], 0)[0, 0] * math.exp(-BENCH_LAMBDA * 24.0)
+        assert full[0] == pytest.approx(m0, rel=1e-3)
 
     def test_monotone_on_grid(self):
         xs = np.linspace(0.5, 14.0, 10)
         ts = np.linspace(0.5, 12.0, 10)
-        table = [
-            [total_degradation_cdf(SANE, 0.05, x, t) for x in xs] for t in ts
-        ]
-        for row in table:  # nondecreasing in x
-            for a, b in zip(row, row[1:]):
-                assert b >= a - 1e-10
-        for col in zip(*table):  # nonincreasing in t
-            for a, b in zip(col, col[1:]):
-                assert b <= a + 1e-10
+        # one row per level x, one column per time t
+        table = series_survival_over_times(soft_system(SANE, 0.05, 14.0), ts, xs[:, None])
+        assert np.all(np.diff(table, axis=0) >= -1e-10)  # nondecreasing in x
+        assert np.all(np.diff(table, axis=1) <= 1e-10)  # nonincreasing in t
 
     def test_truncation_refinement_is_bounded_by_eps(self):
         loose = TruncationConfig(poisson_tail_eps=1e-6)
         tight = TruncationConfig(poisson_tail_eps=1e-14)
-        a = total_degradation_cdf(SANE, 0.3, 6.0, 5.0, trunc=loose)
-        b = total_degradation_cdf(SANE, 0.3, 6.0, 5.0, trunc=tight)
+        model = soft_system(SANE, 0.3, SANE.h1)
+        a = series_survival_over_times(model, [5.0], [6.0], trunc=loose)[0]
+        b = series_survival_over_times(model, [5.0], [6.0], trunc=tight)[0]
         assert abs(a - b) <= 1e-6
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from cbmopt import maintenance_policy
 from cbmopt.errors import DomainError, TailCapError
@@ -29,7 +30,7 @@ from cbmopt.maintenance_policy import (
     expected_inspections,
 )
 from cbmopt.simulator import SimulationConfig, simulate_many
-from cbmopt.system_reliability import failure_time_cdf
+from cbmopt.system_reliability import series_survival_over_times
 
 from conftest import random_system, table2_system
 
@@ -41,12 +42,14 @@ def model():
 
 
 def tau_at_quantile(model, q):
+    """The failure-time quantile q by bisection on 1 - survival at h1."""
+    h1 = model.h1_vector
     lo, hi = 1e-3, 1.0
-    while failure_time_cdf(model, hi) < q:
+    while 1.0 - series_survival_over_times(model, [hi], h1)[0] < q:
         hi *= 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if failure_time_cdf(model, mid) < q:
+        if 1.0 - series_survival_over_times(model, [mid], h1)[0] < q:
             lo = mid
         else:
             hi = mid
@@ -132,8 +135,6 @@ class TestExpectedDowntime:
     def test_single_interval_by_parts_identity(self, model):
         # detection at the failure threshold with all mass in one interval:
         # the expectation reduces to the area between 1 and the failure CDF
-        from cbmopt.system_reliability import series_survival_over_times
-
         tau = tau_at_quantile(model, 1.0 - 1e-10)
         policy = Policy(tau=tau, h2=model.h1_vector)
         rho = expected_downtime(model, policy)
@@ -228,6 +229,24 @@ class TestCostRate:
         policy = Policy(tau=tau, h2=tuple(frac * c.h1 for c in system.components))
         b = cost_rate(system, policy, costs)
         assert (b.e_ni, b.e_rho, b.cr) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("case, tau", [(3, 5.0), (4, 20.0), ("table2", 0.0082), ("table2", 24.0)])
+    def test_zero_thresholds_end_every_cycle_at_the_first_inspection(self, case, tau):
+        # h2 = 0: detection is certain at tau, so e_ni = 1, e_k = tau and e_rho
+        # is the failure CDF's area over [0, tau]; the QUADPACK reference
+        # breaks at tau 2^-j to meet the graded layer near 0
+        if case == "table2":
+            system = table2_system()
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+        b = cost_rate(system, Policy(tau=tau, h2=(0.0,) * system.n), CostParams(1.0, 1.0, 1.0))
+        assert (b.e_ni, b.e_k) == (1.0, tau)
+        area, _ = integrate.quad(
+            lambda t: 1.0 - series_survival_over_times(system, [t], system.h1_vector)[0],
+            0.0, tau, points=[tau * 2.0**-j for j in range(1, 28)],
+            limit=200, epsabs=0.0, epsrel=1e-10,
+        )
+        assert b.e_rho == pytest.approx(area, rel=1e-8)
 
     def test_shared_ladder_matches_public_views(self):
         # cost_rate builds the detection ladder once for both expectations;

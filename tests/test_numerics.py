@@ -1,11 +1,19 @@
-"""Tests for special functions and quadrature.
+"""Tests for the gamma and normal laws on the library's own path, and for
+the quadrature.
 
-Frozen reference values were computed with mpmath at 50 decimal digits
-(loggamma, gammainc, ncdf) and with mpmath.quad over the gamma density;
-they are independent of the scipy-backed implementation under test.
+The library reads the regularized lower incomplete gamma P(s, x) as the
+m = 0 row of threshold_cdf_block: for the unit component below, wear at
+time t is gamma(t, 1), so the row at level x and time s is P(s, x) with
+both arguments exact. It reads the standard normal CDF as
+shock_survival_prob, which for the unit component with w_mu = 1 - z is
+Phi(z). Frozen reference values were computed with mpmath at 50 decimal
+digits (loggamma, gammainc, ncdf) and with mpmath.quad over the gamma
+density; they are independent of the scipy-backed implementation under
+test.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +22,15 @@ from hypothesis import strategies as st
 from scipy import special
 
 from cbmopt.errors import DomainError, IntegrationError
-from cbmopt.numerics import (
-    ToleranceConfig,
-    adaptive_integrate,
-    gamma_cdf,
-    regularized_lower_gamma,
-    std_normal_cdf,
+from cbmopt.failure_model import (
+    ComponentParams,
+    event_probabilities,
+    shock_survival_prob,
+    threshold_cdf_block,
 )
+from cbmopt.numerics import ToleranceConfig, adaptive_integrate
+
+from conftest import COMP_12
 
 # mpmath.loggamma, dps=50
 LOG_GAMMA_31_295 = 75.6679008666886637651824
@@ -31,6 +41,9 @@ P_2_5_AT_0_75 = 0.086930185455604539326
 P_DEEP_TAIL = 2.5507189155530305133e-142
 # mpmath.ncdf, dps=50
 PHI_1_5 = 0.933192798731141934
+
+# wear shape alpha * t = t at rate 1; shock survival Phi(1 - w_mu)
+UNIT = ComponentParams("unit", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, w_mu=0.0, w_sigma=1.0)
 
 
 class TestLogGamma:
@@ -47,9 +60,10 @@ class TestLogGamma:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_domain(self, bad):
-        # gammaln answers inf or nan here; the library's gamma functions raise
+        # gammaln answers inf or nan here; a component refuses such a wear
+        # shape per hour, so no gamma shape of the library reaches it
         with pytest.raises(DomainError):
-            regularized_lower_gamma(bad, 1.0)
+            replace(UNIT, alpha=bad)
 
     def test_wide_range_against_oracle_grid(self):
         # mpmath.loggamma at dps=50 for x in [1e-6, 1e6]
@@ -68,90 +82,98 @@ class TestLogGamma:
 
 class TestRegularizedLowerGamma:
     def test_exponential_special_case(self):
-        assert regularized_lower_gamma(1.0, 1.0) == pytest.approx(
+        assert threshold_cdf_block(UNIT, 1.0, [1.0], 0)[0, 0] == pytest.approx(
             1.0 - math.exp(-1.0), rel=1e-12
         )
 
     def test_integer_shape_closed_form(self):
-        assert regularized_lower_gamma(2.0, 2.0) == pytest.approx(
+        assert threshold_cdf_block(UNIT, 2.0, [2.0], 0)[0, 0] == pytest.approx(
             1.0 - 3.0 * math.exp(-2.0), rel=1e-12
         )
 
     def test_against_quadrature_oracle(self):
-        assert regularized_lower_gamma(2.5, 0.75) == pytest.approx(
+        assert threshold_cdf_block(UNIT, 0.75, [2.5], 0)[0, 0] == pytest.approx(
             P_2_5_AT_0_75, rel=1e-10
         )
 
     def test_oracle_grid(self):
         # mpmath.gammainc(s, 0, x, regularized=True), dps=50
-        oracle = [
+        shapes, xs, expected = np.array([
             (0.4, 0.001, 0.071092397895333076),
             (0.7, 1.5, 0.86628274334615259),
             (3.0, 0.5, 0.014387677966970687),
             (30.0, 20.0, 0.021818217525557392),
             (30.0, 45.0, 0.9926628007022035),
-        ]
-        for s, x, expected in oracle:
-            assert regularized_lower_gamma(s, x) == pytest.approx(expected, rel=1e-10)
+        ]).T
+        assert threshold_cdf_block(UNIT, xs, shapes, 0)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 40.0, 100)
-        vals = [regularized_lower_gamma(2.5, x) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        vals = threshold_cdf_block(UNIT, xs[:, None], [2.5], 0)[0, :, 0]
+        assert np.all(np.diff(vals) >= 0.0)
 
     def test_limits(self):
-        assert regularized_lower_gamma(2.5, 0.0) == 0.0
-        assert regularized_lower_gamma(2.5, 50 * 2.5) == pytest.approx(1.0, abs=1e-9)
+        low, high = threshold_cdf_block(UNIT, [0.0, 50 * 2.5], [2.5, 2.5], 0)[0]
+        assert low == 0.0
+        assert high == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("s,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.1)])
     def test_domain(self, s, x):
+        # the component refuses the shape, the status law the level
         with pytest.raises(DomainError):
-            regularized_lower_gamma(s, x)
+            event_probabilities(replace(UNIT, alpha=s), 0.0, 1.0, x)
 
 
 class TestGammaCdf:
     def test_zero_at_origin(self):
-        assert gamma_cdf(0.0, 0.7, 0.3) == 0.0
+        assert threshold_cdf_block(COMP_12, 0.0, [1.0], 0)[0, 0] == 0.0
 
     def test_degenerate_shape_is_point_mass(self):
-        assert gamma_cdf(0.0, 0.0, 0.3) == 1.0
-        assert gamma_cdf(3.7, 0.0, 0.3) == 1.0
-        assert gamma_cdf(0.5, 5e-324, 0.4) == 1.0
+        row = threshold_cdf_block(replace(UNIT, beta=0.3), [0.0, 3.7], [0.0, 0.0], 0)[0]
+        assert np.all(row == 1.0)
+        assert threshold_cdf_block(replace(UNIT, beta=0.4), 0.5, [5e-324], 0)[0, 0] == 1.0
 
     def test_deep_tail_log_space_value(self):
-        shape = 0.7 * 44.7129
-        assert gamma_cdf(0.00125, shape, 0.3) == pytest.approx(P_DEEP_TAIL, rel=1e-10)
+        # wear shape 0.7 * 44.7129 at rate 0.3
+        value = threshold_cdf_block(COMP_12, 0.00125, [44.7129], 0)[0, 0]
+        assert value == pytest.approx(P_DEEP_TAIL, rel=1e-10)
 
     def test_matches_regularized_lower_gamma(self):
         for x, s, r in [(0.5, 0.7, 0.3), (2.0, 3.0, 1.5), (10.0, 0.4, 2.0)]:
-            assert gamma_cdf(x, s, r) == regularized_lower_gamma(s, r * x)
+            value = threshold_cdf_block(replace(UNIT, beta=r), x, [s], 0)[0, 0]
+            assert value == special.gammainc(s, r * x)
 
     @pytest.mark.parametrize("x,s,r", [(-1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, -2.0)])
     def test_domain(self, x, s, r):
+        # the component refuses the rate, the status law the level
         with pytest.raises(DomainError):
-            gamma_cdf(x, s, r)
+            event_probabilities(replace(UNIT, alpha=s, beta=r), 0.0, 1.0, x)
 
 
 class TestStdNormalCdf:
     def test_symmetry_point(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert shock_survival_prob(replace(UNIT, w_mu=1.0)) == pytest.approx(0.5, abs=1e-15)
 
     def test_against_erf_oracle(self):
-        assert std_normal_cdf(1.5) == pytest.approx(PHI_1_5, abs=1e-12)
+        assert shock_survival_prob(replace(UNIT, w_mu=1.0 - 1.5)) == pytest.approx(
+            PHI_1_5, abs=1e-12
+        )
 
     def test_negative_by_symmetry(self):
-        assert std_normal_cdf(-1.5) == pytest.approx(1.0 - PHI_1_5, abs=1e-12)
+        assert shock_survival_prob(replace(UNIT, w_mu=1.0 + 1.5)) == pytest.approx(
+            1.0 - PHI_1_5, abs=1e-12
+        )
 
     def test_symmetry_identity_on_grid(self):
         for z in np.linspace(-8.0, 8.0, 65):
-            assert std_normal_cdf(z) + std_normal_cdf(-z) == pytest.approx(
-                1.0, abs=1e-12
-            )
+            pair = [shock_survival_prob(replace(UNIT, w_mu=1.0 - v)) for v in (z, -z)]
+            assert sum(pair) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_domain(self, bad):
+        # a component refuses a shock law that would give Phi a non-finite z
         with pytest.raises(DomainError):
-            std_normal_cdf(bad)
+            shock_survival_prob(replace(UNIT, w_mu=1.0 - bad))
 
 
 class TestAdaptiveIntegrate:
@@ -174,10 +196,7 @@ class TestAdaptiveIntegrate:
     def test_error_estimate_brackets_refined_value(self):
         # reported error must cover the distance to a 10x tighter rerun
         def cdf_difference(t):
-            return np.vectorize(
-                lambda ti: regularized_lower_gamma(1.7, 0.8 * ti)
-                - regularized_lower_gamma(1.7, 0.5 * ti)
-            )(t)
+            return special.gammainc(1.7, 0.8 * t) - special.gammainc(1.7, 0.5 * t)
 
         loose = ToleranceConfig(rel_tol=1e-6, abs_tol=1e-9)
         tight = ToleranceConfig(rel_tol=1e-7, abs_tol=1e-10)
@@ -206,15 +225,17 @@ class TestSampling:
         rng = np.random.default_rng(99)
         draws = np.sort(rng.gamma(0.4, 1.0, size=100_000))
         grid = np.arange(1, draws.size + 1) / draws.size
-        theory = np.array([gamma_cdf(x, 0.4, 1.0) for x in draws[:: draws.size // 500]])
+        levels = draws[:: draws.size // 500]
+        theory = threshold_cdf_block(UNIT, levels[:, None], [0.4], 0)[0, :, 0]
         empirical = grid[:: draws.size // 500]
         assert np.max(np.abs(theory - empirical)) < 0.01
 
     def test_normal_tail_fraction_matches_cdf(self):
+        # shock magnitudes of component 1 against its hard threshold 1.5
         rng = np.random.default_rng(11)
         draws = rng.normal(1.2, 0.2, size=100_000)
         frac = float(np.mean(draws < 1.5))
-        p = std_normal_cdf(1.5)
+        p = shock_survival_prob(COMP_12)
         stderr = math.sqrt(p * (1.0 - p) / draws.size)
         assert abs(frac - p) < 3.0 * stderr
 
@@ -222,11 +243,12 @@ class TestSampling:
 @given(st.floats(min_value=0.05, max_value=50.0), st.floats(min_value=0.0, max_value=200.0))
 @settings(max_examples=60, deadline=None)
 def test_regularized_gamma_in_unit_interval(shape, x):
-    p = regularized_lower_gamma(shape, x)
+    p = threshold_cdf_block(UNIT, x, [shape], 0)[0, 0]
     assert 0.0 <= p <= 1.0
 
 
 @given(st.floats(min_value=-8.0, max_value=8.0))
 @settings(max_examples=60, deadline=None)
 def test_normal_cdf_complement(z):
-    assert std_normal_cdf(z) + std_normal_cdf(-z) == pytest.approx(1.0, abs=1e-12)
+    pair = [shock_survival_prob(replace(UNIT, w_mu=1.0 - v)) for v in (z, -z)]
+    assert sum(pair) == pytest.approx(1.0, abs=1e-12)

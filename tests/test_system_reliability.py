@@ -1,4 +1,5 @@
-"""Tests for series-system survival and the two first-passage CDFs."""
+"""Tests for series-system survival and the two first-passage CDFs, which
+are its complements at the critical and on-condition thresholds."""
 
 import numpy as np
 import pytest
@@ -6,18 +7,12 @@ import pytest
 from cbmopt.errors import DomainError
 from cbmopt.failure_model import (
     SystemModel,
+    event_probabilities,
     poisson_weights,
-    pure_degradation_cdf,
     shock_survival_prob,
-    threshold_cdf_given_m,
+    threshold_cdf_block,
 )
-from cbmopt.system_reliability import (
-    as_thresholds,
-    detection_time_cdf,
-    failure_time_cdf,
-    series_survival,
-    series_survival_over_times,
-)
+from cbmopt.system_reliability import as_thresholds, series_survival_over_times
 
 from conftest import random_component, random_system
 
@@ -46,7 +41,7 @@ class TestThresholdValidation:
 
 class TestSeriesSurvival:
     def test_certain_at_time_zero(self, sane_system):
-        assert series_survival(sane_system, 0.0, sane_system.h1_vector) == 1.0
+        assert series_survival_over_times(sane_system, [0.0], sane_system.h1_vector)[0] == 1.0
 
     def test_single_component_matches_direct_sum(self):
         rng = np.random.default_rng(9)
@@ -55,11 +50,11 @@ class TestSeriesSurvival:
         t, x = 6.0, 0.6 * c.h1
         weights = poisson_weights(model.lam * t)
         survive = shock_survival_prob(c)
-        expected = sum(
-            w * survive**m * threshold_cdf_given_m(c, x, t, m)
-            for m, w in enumerate(weights)
+        below = threshold_cdf_block(c, x, [t], len(weights) - 1)[:, 0]
+        expected = sum(w * survive**m * below[m] for m, w in enumerate(weights))
+        assert series_survival_over_times(model, [t], [x])[0] == pytest.approx(
+            expected, rel=1e-12
         )
-        assert series_survival(model, t, [x]) == pytest.approx(expected, rel=1e-12)
 
     def test_without_shocks_survival_is_a_product_of_wear_cdfs(self, sane_system):
         quiet = SystemModel(components=sane_system.components, lam=0.0)
@@ -67,39 +62,30 @@ class TestSeriesSurvival:
         t = 4.0
         expected = 1.0
         for c, v in zip(quiet.components, thresholds):
-            expected *= pure_degradation_cdf(c, v, t)
-        assert series_survival(quiet, t, thresholds) == pytest.approx(
+            expected *= threshold_cdf_block(c, v, [t], 0)[0, 0]
+        assert series_survival_over_times(quiet, [t], thresholds)[0] == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_monotone_in_time_and_thresholds(self, sane_system):
         thresholds = [0.6 * c.h1 for c in sane_system.components]
         ts = np.linspace(0.0, 25.0, 12)
-        vals = [series_survival(sane_system, t, thresholds) for t in ts]
-        for a, b in zip(vals, vals[1:]):
-            assert b <= a + 1e-10
-        t = 8.0
-        for frac_lo, frac_hi in [(0.3, 0.5), (0.5, 0.8), (0.8, 1.0)]:
-            lo = series_survival(
-                sane_system, t, [frac_lo * c.h1 for c in sane_system.components]
-            )
-            hi = series_survival(
-                sane_system, t, [frac_hi * c.h1 for c in sane_system.components]
-            )
-            assert hi >= lo - 1e-10
+        vals = series_survival_over_times(sane_system, ts, thresholds)
+        assert np.all(np.diff(vals) <= 1e-10)
+        # one row per threshold fraction 0.3, 0.5, 0.8 and 1.0, at t = 8
+        rows = [[f * c.h1 for c in sane_system.components] for f in (0.3, 0.5, 0.8, 1.0)]
+        by_fraction = series_survival_over_times(sane_system, [8.0], rows)[:, 0]
+        assert np.all(np.diff(by_fraction) >= -1e-10)
 
     def test_series_never_beats_its_weakest_component(self, sane_system):
         thresholds = [0.7 * c.h1 for c in sane_system.components]
-        for t in np.linspace(0.5, 30.0, 20):
-            r_series = series_survival(sane_system, t, thresholds)
-            singles = [
-                series_survival(
-                    SystemModel(components=(c,), lam=sane_system.lam), t, [v]
-                )
-                for c, v in zip(sane_system.components, thresholds)
-            ]
-            assert r_series <= min(singles) + 1e-10
-
+        ts = np.linspace(0.5, 30.0, 20)
+        r_series = series_survival_over_times(sane_system, ts, thresholds)
+        singles = [
+            series_survival_over_times(SystemModel(components=(c,), lam=sane_system.lam), ts, [v])
+            for c, v in zip(sane_system.components, thresholds)
+        ]
+        assert np.all(r_series <= np.min(singles, axis=0) + 1e-10)
 
     def test_stacked_rows_match_single_rows(self, sane_system):
         times = np.array([0.0, 5e-324, 1.5, 6.0, 30.0])
@@ -141,40 +127,42 @@ class TestSeriesSurvival:
 
 class TestFirstPassageCdfs:
     def test_zero_at_time_zero(self, sane_system):
-        assert failure_time_cdf(sane_system, 0.0) == 0.0
+        assert 1.0 - series_survival_over_times(sane_system, [0.0], sane_system.h1_vector)[0] == 0.0
 
     def test_failure_cdf_is_survival_complement(self, sane_system):
+        # for one component, the failure CDF is the status law's failed mass
         t = 7.5
-        assert failure_time_cdf(sane_system, t) == pytest.approx(
-            1.0 - series_survival(sane_system, t, sane_system.h1_vector), abs=1e-15
-        )
+        for c in sane_system.components:
+            alone = SystemModel(components=(c,), lam=sane_system.lam)
+            failure = 1.0 - series_survival_over_times(alone, [t], [c.h1])[0]
+            failed = event_probabilities(c, sane_system.lam, t, c.h1)[2]
+            assert failure == pytest.approx(failed, abs=1e-15)
 
     def test_detection_equals_failure_when_thresholds_coincide(self, sane_system):
-        for t in [0.0, 3.0, 11.0]:
-            assert detection_time_cdf(
-                sane_system, t, sane_system.h1_vector
-            ) == pytest.approx(failure_time_cdf(sane_system, t), abs=1e-15)
+        h1 = sane_system.h1_vector
+        detection, failure = series_survival_over_times(sane_system, [0.0, 3.0, 11.0], [h1, h1])
+        assert detection == pytest.approx(failure, abs=1e-15)
 
     def test_zero_thresholds_detect_immediately(self, sane_system):
         zeros = [0.0] * sane_system.n
-        assert detection_time_cdf(sane_system, 0.5, zeros) == 1.0
-        assert detection_time_cdf(sane_system, 20.0, zeros) == 1.0
+        survival = series_survival_over_times(sane_system, [0.5, 20.0], zeros)
+        assert np.all(1.0 - survival == 1.0)
 
     def test_detection_dominates_failure(self, sane_system):
         h2 = [0.55 * c.h1 for c in sane_system.components]
-        for t in np.linspace(0.5, 30.0, 15):
-            assert detection_time_cdf(sane_system, t, h2) >= failure_time_cdf(
-                sane_system, t
-            ) - 1e-10
+        ts = np.linspace(0.5, 30.0, 15)
+        detection, failure = 1.0 - series_survival_over_times(
+            sane_system, ts, [h2, sane_system.h1_vector]
+        )
+        assert np.all(detection >= failure - 1e-10)
 
     def test_widening_one_threshold_weakly_lowers_detection(self, sane_system):
         base = [0.5 * c.h1 for c in sane_system.components]
         wider = list(base)
         wider[0] = 0.9 * sane_system.components[0].h1
-        for t in np.linspace(1.0, 20.0, 8):
-            assert detection_time_cdf(sane_system, t, wider) <= detection_time_cdf(
-                sane_system, t, base
-            ) + 1e-10
+        ts = np.linspace(1.0, 20.0, 8)
+        widened, detection = 1.0 - series_survival_over_times(sane_system, ts, [wider, base])
+        assert np.all(widened <= detection + 1e-10)
 
     def test_nonincreasing_curve(self, sane_system):
         grid = np.linspace(0.0, 40.0, 21)
@@ -207,6 +195,6 @@ class TestFirstPassageCdfs:
                 )
             paths_fail |= hard | (total >= c.h1)
         p_hat = float(np.mean(paths_fail))
-        analytic = failure_time_cdf(model, t)
+        analytic = 1.0 - series_survival_over_times(model, [t], model.h1_vector)[0]
         stderr = np.sqrt(p_hat * (1.0 - p_hat) / n)
         assert abs(analytic - p_hat) < 3.0 * stderr
