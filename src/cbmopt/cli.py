@@ -352,8 +352,12 @@ def cmd_optimize(
     started = time.time()
     opt = config.optimizer
     if multistart is not None:
+        if multistart < 1:
+            raise ConfigError(f"--multistart must be at least 1, got {multistart}")
         opt = replace(opt, multistart_count=multistart)
     if fixed_tau is not None:
+        if not (math.isfinite(fixed_tau) and fixed_tau > 0.0):
+            raise ConfigError(f"--fixed-tau must be finite and positive, got {fixed_tau}")
         result = optimize_fixed_tau(
             config.system, config.costs, fixed_tau, opt, config.truncation, config.tail
         )
@@ -388,7 +392,22 @@ def cmd_optimize(
         )
         _write_csv(trace_path, header, [list(col) for col in zip(*rows)] if rows else [[] for _ in header])
         outputs["trace_csv"] = trace_path
-    return _report("optimize", config, outputs, [], started)
+    warnings = [] if fixed_tau is not None else _bound_warning(result.best_policy.tau, opt.tau_bounds)
+    return _report("optimize", config, outputs, warnings, started)
+
+
+def _bound_warning(tau: float, bounds: tuple[float, float]) -> list[str]:
+    """Flag a best tau within 1% of log(hi/lo) of either end of tau_bounds,
+    where the true optimum may lie outside the searched range."""
+    lo, hi = bounds
+    margin = 0.01 * math.log(hi / lo)
+    for name, bound, gap in [("lower", lo, math.log(tau / lo)), ("upper", hi, math.log(hi / tau))]:
+        if gap <= margin:
+            return [
+                f"best tau {tau:.6g} lies within 1% (log scale) of the {name} "
+                f"tau bound {bound:.6g}; the optimum may lie outside tau_bounds"
+            ]
+    return []
 
 
 def cmd_simulate(
@@ -408,6 +427,8 @@ def cmd_simulate(
         raise ConfigError(f"--fpt-steps must be at least 2, got {fpt_steps}")
     sim = config.simulation or SimulationConfig()
     if reps is not None:
+        if reps < 1:
+            raise ConfigError(f"--reps must be at least 1, got {reps}")
         sim = replace(sim, replications=reps)
     estimate = estimate_cost_rate(config.system, config.policy, config.costs, sim)
     warnings = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -55,6 +56,9 @@ _TIME_INTEGRAL_TOL = ToleranceConfig(rel_tol=1e-8, abs_tol=1e-12, max_subdivisio
 # survival pass, which also carries the downtime integral's first
 # Gauss-Kronrod round on its intervals
 _FIRST_BATCH = 16
+
+# the failure-time CDF (at the critical levels h1) at a 1-D time array
+FailureCdf = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -213,14 +217,22 @@ def expected_inspections(
     return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail, nodes=False)[0])
 
 
+def _direct_failure_cdf(model: SystemModel, trunc: TruncationConfig | None) -> FailureCdf:
+    """The failure-time CDF at a time array, one survival pass at h1 per call."""
+
+    def failure_cdf(ts):
+        return 1.0 - series_survival_over_times(model, ts, model.h1_vector, trunc)
+
+    return failure_cdf
+
+
 def _downtime_from_ladder(
-    model: SystemModel,
     tau: float,
     ladder: list[float],
     f1_at: np.ndarray,
     probe: float,
     first_round: np.ndarray,
-    trunc: TruncationConfig | None,
+    failure_cdf: FailureCdf,
 ) -> float:
     """Sum over inspection intervals of the detection mass of interval k
     (the residual tail on the last one) times the Stieltjes integral of
@@ -234,8 +246,8 @@ def _downtime_from_ladder(
     so one refinement round covers many intervals at once. The first
     round's panels on the intervals of the ladder's first batch come from
     first_round, the failure-time CDF at their nodes, so only the other
-    panels cost a survival pass. Intervals where the CDF barely rises are
-    provably negligible and are clipped off.
+    panels and the refinement rounds ask failure_cdf for values. Intervals
+    where the CDF barely rises are provably negligible and are clipped off.
     """
     weights = np.diff(np.array(ladder))
     weights[-1] += 1.0 - ladder[-1]
@@ -247,9 +259,6 @@ def _downtime_from_ladder(
         return 0.0
     k_first = int(significant[0]) + 1
     k_last = int(significant[-1]) + 1
-
-    def failure_cdf(ts):
-        return 1.0 - series_survival_over_times(model, ts, model.h1_vector, trunc)
 
     def weighted(ts, cdf):
         k_of_t = np.minimum((ts / tau).astype(int), kmax - 1)
@@ -298,7 +307,7 @@ def expected_downtime(
     """Expected downtime per cycle from the literal closed-form expression
     (see the module docstring for its caveat)."""
     ladder, *rest = _cdf_ladder(model, policy, trunc, tail)
-    return _downtime_from_ladder(model, policy.tau, ladder, *rest, trunc)
+    return _downtime_from_ladder(policy.tau, ladder, *rest, _direct_failure_cdf(model, trunc))
 
 
 def cost_rate(
@@ -307,13 +316,29 @@ def cost_rate(
     costs: CostParams,
     trunc: TruncationConfig | None = None,
     tail: SeriesTailConfig | None = None,
+    *,
+    failure_cdf: FailureCdf | None = None,
 ) -> CostBreakdown:
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
-    E[N_I] and E[rho] share one ladder of detection- and failure-CDF values."""
+    E[N_I] and E[rho] share one ladder of detection- and failure-CDF values.
+    The downtime integral's further failure-CDF values come from
+    failure_cdf, a callable of a 1-D time array that must return what
+    1 - series_survival_over_times(model, ts, model.h1_vector, trunc)
+    returns; by default it is that survival pass. A caller that evaluates
+    many policies at one tau, such as the optimizer, passes a memo of
+    those passes instead.
+    """
+    # the ladder's first pass keeps its h1 rows even where failure_cdf could
+    # supply them: without them the h2 row's mixture loop would stop at
+    # another term, changing the last bits, and where the fixed-tau
+    # objective is flat to the ulp (table 2 at 24 h and 120 h) the reported
+    # h2 would flip
     ladder, *rest = _cdf_ladder(model, policy, trunc, tail)
     e_ni = _inspections_from_ladder(ladder)
-    e_rho = _downtime_from_ladder(model, policy.tau, ladder, *rest, trunc)
+    e_rho = _downtime_from_ladder(
+        policy.tau, ladder, *rest, failure_cdf or _direct_failure_cdf(model, trunc)
+    )
     e_k = policy.tau * e_ni
     e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
     return CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k)

@@ -15,6 +15,13 @@ produce a worse best value. The inspection interval is searched on a log
 scale; the cost of inspecting explodes as the interval shrinks toward
 zero, and a linear scale would waste most starts on the far right of the
 range.
+
+The failure-time CDF does not depend on the thresholds, and at one
+inspection interval the downtime integral asks for it at the same time
+arrays again and again. Each search therefore keeps one memo of those
+passes for the current tau (see _FailureCdfMemo): a fixed-tau search makes
+each pass once, and so do the vertices of a joint search's initial simplex
+that share tau.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .maintenance_policy import (
     CostParams,
     Policy,
     SeriesTailConfig,
+    _direct_failure_cdf,
     cost_rate,
 )
 
@@ -225,8 +233,40 @@ class _PolicyCodec:
         return Policy(tau=tau, h2=h2)
 
 
+class _FailureCdfMemo:
+    """The failure-time CDF passes of one search, at one tau at a time.
+
+    at(tau) gives the callable that cost_rate takes as failure_cdf. A
+    request is keyed by its whole 1-D time array: the same array in gives
+    the same pass out, so a hit is bit-identical to a fresh pass. A new tau
+    drops the requests held for the old one. Held arrays are read-only,
+    since every hit hands out the same one.
+    """
+
+    def __init__(self, model: SystemModel, trunc: TruncationConfig | None):
+        self._direct = _direct_failure_cdf(model, trunc)
+        self.tau: float | None = None
+        self.held: dict[bytes, np.ndarray] = {}
+
+    def at(self, tau: float):
+        if tau != self.tau:
+            self.tau = tau
+            self.held.clear()
+        return self._lookup
+
+    def _lookup(self, ts: np.ndarray) -> np.ndarray:
+        key = ts.tobytes()
+        cdf = self.held.get(key)
+        if cdf is None:
+            cdf = self._direct(ts)
+            cdf.flags.writeable = False
+            self.held[key] = cdf
+        return cdf
+
+
 def _search(model, costs, config, trunc, tail, fixed_tau):
     codec = _PolicyCodec(model, config, fixed_tau)
+    memo = _FailureCdfMemo(model, trunc)
     # breakdown per evaluated point (None where it failed); the simplex can
     # revisit a point, and the best point is always one already evaluated
     evaluated: dict[bytes, CostBreakdown | None] = {}
@@ -235,7 +275,10 @@ def _search(model, costs, config, trunc, tail, fixed_tau):
         key = z.tobytes()
         if key not in evaluated:
             try:
-                evaluated[key] = cost_rate(model, codec.decode(z), costs, trunc, tail)
+                policy = codec.decode(z)
+                evaluated[key] = cost_rate(
+                    model, policy, costs, trunc, tail, failure_cdf=memo.at(policy.tau)
+                )
             except CbmError:
                 evaluated[key] = None
         breakdown = evaluated[key]

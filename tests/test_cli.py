@@ -1,5 +1,6 @@
 """Tests for config parsing, command dispatch, and report emission."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbmopt.cli import main, parse_config
+from cbmopt.cli import _bound_warning, main, parse_config
 from cbmopt.errors import ConfigError
 from cbmopt.simulator import SimulationConfig
 from cbmopt.system_reliability import series_survival_over_times
+
+from conftest import random_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -265,6 +268,50 @@ class TestOptimizeCommand:
         assert reports[0] == reports[1]
 
 
+class TestBoundWarning:
+    @staticmethod
+    def run(tmp_path, bounds, *flags):
+        # a random system with hour-scale degradation, searched briefly
+        system = random_system(np.random.default_rng(1), 2)
+        payload = small_config(system={
+            "lambda": system.lam,
+            "components": [dataclasses.asdict(c) for c in system.components],
+        })
+        payload.pop("policy")
+        payload["optimizer"].update(multistart_count=1, max_iterations=20,
+                                    tau_bounds=list(bounds))
+        out = tmp_path / "opt.json"
+        code = main(["optimize", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), *flags])
+        assert code == 0
+        return load_json(out)
+
+    def test_optimum_on_a_bound_is_flagged(self, tmp_path):
+        # cost rises with tau past a few hours, so [150, 300] pins the optimum
+        # to its lower end
+        report = self.run(tmp_path, [150.0, 300.0])
+        assert report["outputs"]["best_policy"]["tau"] == pytest.approx(150.0)
+        [warning] = report["warnings"]
+        assert "lower tau bound 150" in warning
+
+    def test_interior_optimum_is_not_flagged(self, tmp_path):
+        report = self.run(tmp_path, [0.5, 100.0])
+        tau = report["outputs"]["best_policy"]["tau"]
+        assert math.log(tau / 0.5) > 0.01 * math.log(200.0)
+        assert report["warnings"] == []
+
+    def test_margin_is_one_percent_of_the_log_range_at_either_end(self):
+        # log(1e4 / 1e-3) = 16.1, so the margin is a factor of 1.175
+        bounds = (1e-3, 1e4)
+        assert "lower tau bound 0.001" in _bound_warning(1.17e-3, bounds)[0]
+        assert "upper tau bound 10000" in _bound_warning(1e4 / 1.17, bounds)[0]
+        assert _bound_warning(1.18e-3, bounds) == _bound_warning(1e4 / 1.18, bounds) == []
+
+    def test_fixed_tau_never_warns(self, tmp_path):
+        report = self.run(tmp_path, [150.0, 300.0], "--fixed-tau", "150")
+        assert report["warnings"] == []
+
+
 class TestSimulateCommand:
     def test_zero_thresholds_cycle_is_one_interval(self, tmp_path, capsys):
         payload = small_config()
@@ -426,6 +473,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r.json"), *flags])
         assert code == 2
         flag, value = flags[-2:]
+        err = capsys.readouterr().err
+        assert f"config error: {flag} must be" in err and f"got {value}" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("optimize", ["--multistart", "0"]),
+        ("optimize", ["--fixed-tau", "inf"]),
+        ("optimize", ["--fixed-tau", "-1"]),
+        ("optimize", ["--fixed-tau", "nan"]),
+        ("simulate", ["--reps", "0"]),
+    ], ids=["multistart-0", "fixed-tau-inf", "fixed-tau-negative", "fixed-tau-nan", "reps-0"])
+    def test_bad_run_flag_is_named(self, tmp_path, capsys, command, flags):
+        code = main([command, "--config", str(CONFIG_DIR / "table2_tau24.json"),
+                     "--out", str(tmp_path / "r.json"), *flags])
+        assert code == 2
+        flag, value = flags
         err = capsys.readouterr().err
         assert f"config error: {flag} must be" in err and f"got {value}" in err
 

@@ -9,17 +9,20 @@ import math
 import numpy as np
 import pytest
 
+from cbmopt import maintenance_policy
 from cbmopt.errors import AllStartsFailedError, DomainError
 from cbmopt.failure_model import SystemModel
 from cbmopt.maintenance_policy import CostParams, Policy, cost_rate
 from cbmopt.optimizer import (
     OptimizerConfig,
+    _FailureCdfMemo,
     minimize_multistart,
     optimize_fixed_tau,
     optimize_policy,
 )
+from cbmopt.system_reliability import series_survival_over_times
 
-from conftest import random_system
+from conftest import random_system, table2_system
 
 
 def quadratic(center):
@@ -158,9 +161,9 @@ class TestPolicyOptimization:
 
         seen = []
 
-        def counting_cost_rate(model, policy, costs, trunc=None, tail=None):
+        def counting_cost_rate(model, policy, costs, trunc=None, tail=None, **kwargs):
             seen.append((policy.tau, policy.h2))
-            return cost_rate(model, policy, costs, trunc, tail)
+            return cost_rate(model, policy, costs, trunc, tail, **kwargs)
 
         monkeypatch.setattr(optimizer_module, "cost_rate", counting_cost_rate)
         config = OptimizerConfig(
@@ -171,3 +174,74 @@ class TestPolicyOptimization:
         assert len(seen) == len(set(seen))
         assert (result.best_policy.tau, result.best_policy.h2) in set(seen)
         assert result.best_breakdown == cost_rate(model, result.best_policy, costs)
+
+
+class TestFailureCdfMemo:
+    TABLE2_COSTS = CostParams(c_i=1.0, c_rho=20000.0, c_r=100.0)
+
+    @pytest.mark.parametrize("case, tau", [
+        ("table2", 24.0), ("table2", 0.01), (1, 1.0), (1, 20.0),
+    ])
+    def test_fixed_tau_best_matches_a_fresh_evaluation(self, case, tau):
+        # the search's breakdown came through the memo, the fresh one from
+        # direct survival passes; a hit must be the very pass it stands for
+        if case == "table2":
+            system, costs = table2_system(), self.TABLE2_COSTS
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+            costs = CostParams(c_i=1.0, c_rho=300.0, c_r=80.0)
+        config = OptimizerConfig(multistart_count=2, max_iterations=40, seed=1)
+        result = optimize_fixed_tau(system, costs, tau, config)
+        assert result.best_breakdown == cost_rate(system, result.best_policy, costs)
+
+    def test_later_evaluations_make_one_survival_pass(self, monkeypatch):
+        # table 2 at 24 h: the first evaluation refines the failure CDF's
+        # area in several passes; every later one makes only its ladder pass
+        import cbmopt.optimizer as optimizer_module
+
+        passes = []
+        per_evaluation = []
+        survival = maintenance_policy.series_survival_over_times
+
+        def counted_survival(*args, **kwargs):
+            passes.append(1)
+            return survival(*args, **kwargs)
+
+        def counted_cost_rate(*args, **kwargs):
+            before = len(passes)
+            breakdown = cost_rate(*args, **kwargs)
+            per_evaluation.append(len(passes) - before)
+            return breakdown
+
+        monkeypatch.setattr(maintenance_policy, "series_survival_over_times", counted_survival)
+        monkeypatch.setattr(optimizer_module, "cost_rate", counted_cost_rate)
+        # the search that configs/table2.json ships
+        config = OptimizerConfig(multistart_count=8, max_iterations=300, seed=1)
+        optimize_fixed_tau(table2_system(), self.TABLE2_COSTS, 24.0, config)
+        assert per_evaluation[0] > 1
+        assert len(per_evaluation) >= 20
+        assert per_evaluation[1:] == [1] * (len(per_evaluation) - 1)
+
+    def test_holds_one_tau_only(self):
+        system = table2_system()
+        memo = _FailureCdfMemo(system, None)
+        a, b = np.array([0.5, 1.0]), np.array([2.0])
+        memo.at(1.0)(a)
+        memo.at(1.0)(b)
+        assert len(memo.held) == 2
+        memo.at(1.0)
+        assert len(memo.held) == 2
+        memo.at(2.0)(a)
+        assert memo.tau == 2.0 and list(memo.held) == [a.tobytes()]
+
+    def test_hits_are_the_stored_read_only_pass(self):
+        system = random_system(np.random.default_rng(1), 3)
+        memo = _FailureCdfMemo(system, None)
+        ts = np.linspace(0.1, 9.0, 15)
+        first = memo.at(5.0)(ts)
+        assert memo.at(5.0)(ts.copy()) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        direct = 1.0 - series_survival_over_times(system, ts, system.h1_vector)
+        assert np.array_equal(first, direct)
