@@ -10,7 +10,7 @@ class DomainError(CbmError, ValueError):
 
 
 class IntegrationError(CbmError, ArithmeticError):
-    """Adaptive quadrature exhausted its subdivision budget before reaching tolerance."""
+    """Adaptive quadrature met a non-finite integrand value or could not reach its tolerance."""
 
 
 class TruncationCapError(CbmError, ArithmeticError):

@@ -29,7 +29,7 @@ from .errors import DomainError, TruncationCapError
 from .numerics import negligible_shape
 
 # unused here; perfbench/tracing.py wraps this module attribute by name
-from .numerics import adaptive_integrate_vector  # noqa: F401
+from .numerics import adaptive_integrate as adaptive_integrate_vector  # noqa: F401
 
 __all__ = [
     "ComponentParams",

@@ -26,17 +26,8 @@ from scipy import special
 
 from .errors import DomainError, TailCapError
 from .failure_model import SystemModel, TruncationConfig
-from .numerics import (
-    ToleranceConfig,
-    kronrod_nodes,
-    kronrod_panels,
-    negligible_shape,
-    refine_panels,
-)
+from .numerics import adaptive_integrate, kronrod_nodes, negligible_shape
 from .system_reliability import as_thresholds, series_survival_over_times
-
-# unused here; perfbench/tracing.py wraps this module attribute by name
-from .numerics import adaptive_integrate  # noqa: F401
 
 __all__ = [
     "CostParams",
@@ -48,10 +39,6 @@ __all__ = [
     "cost_rate",
 ]
 
-# the downtime expectation is consumed at Monte Carlo noise scales, so its
-# time integral can run a digit looser than the library-wide quadrature
-# default
-_TIME_INTEGRAL_TOL = ToleranceConfig(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=60)
 # a ladder that the wear-only bound ends within this many epochs takes one
 # survival pass, which also carries the downtime integral's first
 # Gauss-Kronrod round on its intervals
@@ -140,7 +127,6 @@ def _cdf_ladder(
     policy: Policy,
     trunc: TruncationConfig | None,
     tail: SeriesTailConfig | None,
-    nodes: bool = True,
 ) -> tuple[list[float], np.ndarray, float, np.ndarray]:
     """Validate the policy and sample its detection-time CDF at 0, tau,
     2*tau, ... until the tail drops below the cutoff; raises TailCapError
@@ -151,8 +137,7 @@ def _cdf_ladder(
     wear-only bound shows that the ladder ends within _FIRST_BATCH epochs,
     the first batch holds exactly those epochs, and its pass also carries
     the Gauss-Kronrod nodes of their intervals, so that the downtime
-    integral needs no pass of its own for its first round; nodes=False
-    leaves them out for callers that read only the ladder. Otherwise the
+    integral needs no pass of its own for its first round. Otherwise the
     batches hold 8, 16, 32 and then 64 epochs, and no nodes: on a longer
     ladder the downtime integral's own pass covers them at less cost.
     Returns the ladder, the failure-time CDF at the same epochs, at the
@@ -179,7 +164,7 @@ def _cdf_ladder(
         n = epochs.size
         if k == 0:
             # h2 and h1 at the epochs, then h1 alone at the probe and nodes
-            carried = ks if end and nodes else ks[:0]
+            carried = ks if end else ks[:0]
             lows = np.array([(j - 1) * tau for j in carried])
             at = kronrod_nodes(lows, epochs[: len(carried)])
             times = np.concatenate([epochs, epochs, [tau / 128.0], at.ravel()])
@@ -214,7 +199,7 @@ def expected_inspections(
     tail: SeriesTailConfig | None = None,
 ) -> float:
     """Expected number of inspections in one renewal cycle."""
-    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail, nodes=False)[0])
+    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail)[0])
 
 
 def _direct_failure_cdf(model: SystemModel, trunc: TruncationConfig | None) -> FailureCdf:
@@ -265,7 +250,7 @@ def _downtime_from_ladder(
         return weights[k_of_t] * cdf
 
     def weighted_cdf(ts):
-        return weighted(ts, failure_cdf(ts)).reshape(1, -1)
+        return weighted(ts, failure_cdf(ts))
 
     boundary = float(
         np.sum(weights[k_first - 1 : k_last] * f1_at[k_first - 1 : k_last])
@@ -292,9 +277,8 @@ def _downtime_from_ladder(
         cdf[known] = first_round[whole - 1 : whole - 1 + count]
         if not known.all():
             cdf[~known] = failure_cdf(nodes[~known].ravel()).reshape(-1, nodes.shape[1])
-        vals, errs = kronrod_panels(weighted(nodes, cdf).reshape(1, -1), lo, hi, 1)
-        value, _ = refine_panels(weighted_cdf, lo, hi, vals, errs, 1, _TIME_INTEGRAL_TOL)
-        area += float(value[0])
+        # called through this module's name, which perfbench/tracing.py wraps
+        area += adaptive_integrate(weighted_cdf, lo, hi, weighted(nodes, cdf))
     return max(area - tau * boundary, 0.0)
 
 

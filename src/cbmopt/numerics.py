@@ -1,4 +1,5 @@
-"""The negligible gamma shape test and adaptive Gauss-Kronrod quadrature.
+"""The negligible gamma shape test and the downtime integral's adaptive
+Gauss-Kronrod quadrature.
 
 Everything here is deterministic given its inputs. The gamma distribution
 is parameterized by (shape, rate) throughout: the mean of a gamma(shape,
@@ -8,37 +9,13 @@ scipy's special.gammainc and special.ndtr, called where they are needed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import IntegrationError
 
-__all__ = [
-    "ToleranceConfig",
-    "negligible_shape",
-    "adaptive_integrate",
-]
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Accuracy targets for adaptive quadrature."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-DEFAULT_TOL = ToleranceConfig()
+__all__ = ["negligible_shape", "kronrod_nodes", "adaptive_integrate"]
 
 
 def negligible_shape(shape):
@@ -102,126 +79,12 @@ _GK_WEIGHTS_G[1::2] = [
     0.129484966168869693270611432679082,
 ]
 
-
-def _initial_mesh(a: float, b: float, breakpoints) -> tuple[np.ndarray, np.ndarray]:
-    if not breakpoints:
-        return np.array([a]), np.array([b])
-    points = [a] + [p for p in sorted(breakpoints) if a < p < b] + [b]
-    edges = np.array(points)
-    return edges[:-1], edges[1:]
-
-
-def adaptive_integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: ToleranceConfig | None = None,
-    breakpoints: "list[float] | None" = None,
-) -> tuple[float, float]:
-    """Integrate f over [a, b] with adaptive Gauss-Kronrod bisection.
-
-    The integrand is called with a flat numpy array of nodes (possibly from
-    several intervals at once) and must return an array of the same shape;
-    it runs on adaptive_integrate_vector with one component. Endpoints are
-    never evaluated, so integrable endpoint singularities are allowed.
-    Optional breakpoints seed the initial mesh where the integrand is known
-    to be rough. Returns (value, error estimate) and raises
-    IntegrationError if the subdivision budget runs out before the
-    requested tolerance is met.
-    """
-    values, errors = adaptive_integrate_vector(
-        lambda x: np.reshape(f(x), (1, -1)), a, b, 1, tol, breakpoints
-    )
-    return float(values[0]), float(errors[0])
-
-
-def adaptive_integrate_vector(
-    f: Callable,
-    a: float,
-    b: float,
-    n_out: int,
-    tol: ToleranceConfig | None = None,
-    breakpoints: "list[float] | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate a vector-valued integrand over a shared domain [a, b].
-
-    f maps a flat array of K nodes to an (n_out, K) array; all components
-    are integrated on one adaptively refined grid, driven by the component
-    furthest from its tolerance. Useful when the integrands differ only by
-    a cheap parameter. Returns (values, error estimates), both of length n_out.
-    """
-    tol = tol or DEFAULT_TOL
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration bounds must be finite")
-    if a > b:
-        raise DomainError(f"requires a <= b, got a={a}, b={b}")
-    if a == b:
-        return np.zeros(n_out), np.zeros(n_out)
-
-    lo, hi = _initial_mesh(a, b, breakpoints)
-    vals, errs = _eval_panels(f, lo, hi, n_out)
-    return refine_panels(f, lo, hi, vals, errs, n_out, tol)
-
-
-def refine_panels(
-    f: Callable,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    vals: np.ndarray,
-    errs: np.ndarray,
-    n_out: int,
-    tol: ToleranceConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The refinement loop of adaptive_integrate_vector, from panels
-    [lo, hi] whose Kronrod values and error estimates, each of shape
-    (P, n_out), are already known (see kronrod_panels).
-
-    A caller that has the integrand at the Kronrod nodes of some initial
-    panels from other work passes them here instead of evaluating them
-    again; f is called only on the panels that refinement splits.
-    """
-    budget = tol.max_subdivisions
-    while True:
-        totals = vals.sum(axis=0)
-        total_errs = errs.sum(axis=0)
-        bounds = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(totals))
-        if np.all(total_errs <= bounds):
-            return totals, total_errs
-        if budget <= 0:
-            raise IntegrationError(
-                f"tolerance not met after {tol.max_subdivisions} subdivisions "
-                f"for {int(np.sum(total_errs > bounds))} of {n_out} components"
-            )
-        # refine every interval whose error exceeds its fair share of the
-        # budget; wide fronts cost little because evaluations are batched
-        score = (errs / bounds[None, :]).max(axis=1)
-        pick = np.flatnonzero(score >= 1.0 / (2.0 * score.size))
-        pick = pick[np.argsort(score[pick])[::-1][:budget]]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[pick] = False
-        mid = 0.5 * (lo[pick] + hi[pick])
-        # intervals already at floating point resolution cannot improve
-        splittable = (mid > lo[pick]) & (mid < hi[pick])
-        stuck = pick[~splittable]
-        errs[stuck, :] = 0.0
-        keep[stuck] = True
-        pick = pick[splittable]
-        if pick.size == 0:
-            total_errs = errs.sum(axis=0)
-            if np.all(total_errs <= bounds):
-                return vals.sum(axis=0), total_errs
-            raise IntegrationError(
-                "interval refinement reached floating point resolution"
-            )
-        mid = mid[splittable]
-        new_lo = np.concatenate([lo[pick], mid])
-        new_hi = np.concatenate([mid, hi[pick]])
-        budget -= pick.size
-        new_vals, new_errs = _eval_panels(f, new_lo, new_hi, n_out)
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+# the downtime expectation is consumed at Monte Carlo noise scales, so the
+# integral stops at a relative error of 1e-8 (or an absolute one of 1e-12);
+# one call splits at most _MAX_SPLITS panels in all
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-12
+_MAX_SPLITS = 60
 
 
 def kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -231,34 +94,74 @@ def kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return center[:, None] + half[:, None] * _GK_NODES[None, :]
 
 
-def kronrod_panels(y, lo: np.ndarray, hi: np.ndarray, n_out: int):
-    """Kronrod rule for a vector-valued integrand on a batch of panels.
-
-    y holds the integrand at kronrod_nodes(lo, hi), flattened, one row per
-    component: shape (n_out, 15 P). Returns per-panel (integral, error
-    estimate), each of shape (P, n_out). The error heuristic trusts the
-    Gauss/Kronrod difference only when the integrand is smooth relative to
-    its own variation on the panel.
-    """
+def _kronrod(y, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod value and error estimate of each panel, from the integrand
+    at its nodes. The error heuristic trusts the Gauss/Kronrod difference
+    only when the integrand is smooth relative to its own variation on the
+    panel."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (n_out, 15 * lo.size):
-        raise IntegrationError(
-            f"vector integrand returned shape {y.shape}, expected {(n_out, 15 * lo.size)}"
-        )
     if not np.all(np.isfinite(y)):
         raise IntegrationError("integrand returned a non-finite value")
     half = 0.5 * (hi - lo)
-    y = y.reshape(n_out, lo.size, 15)
-    resk = half[None, :] * (y @ _GK_WEIGHTS_K)
-    resg = half[None, :] * (y @ _GK_WEIGHTS_G)
-    mean = resk / (hi - lo)[None, :]
-    resasc = half[None, :] * (np.abs(y - mean[:, :, None]) @ _GK_WEIGHTS_K)
+    y = y.reshape(lo.size, 15)
+    resk = half * (y @ _GK_WEIGHTS_K)
+    resg = half * (y @ _GK_WEIGHTS_G)
+    mean = resk / (hi - lo)
+    resasc = half * (np.abs(y - mean[:, None]) @ _GK_WEIGHTS_K)
     diff = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (diff > 0.0), scaled, diff)
-    return resk.T, err.T  # (P, n_out)
+    return resk, err
 
 
-def _eval_panels(f: Callable, lo, hi, n_out):
-    return kronrod_panels(f(kronrod_nodes(lo, hi).ravel()), lo, hi, n_out)
+def adaptive_integrate(f: Callable, lo: np.ndarray, hi: np.ndarray, y) -> float:
+    """Integrate f over the panels [lo, hi] by adaptive Gauss-Kronrod
+    bisection.
+
+    y holds f at kronrod_nodes(lo, hi), shape (P, 15), so a caller that has
+    those values from other work passes them in; f, which maps a flat
+    array of nodes to an array of the same shape, is called only on the
+    panels that refinement splits. Endpoints are never evaluated, so
+    integrable endpoint singularities are allowed. Raises IntegrationError
+    on a non-finite integrand value, when the split budget runs out before
+    the tolerance is met, or when the panels to split reach floating point
+    resolution.
+    """
+    vals, errs = _kronrod(y, lo, hi)
+    budget = _MAX_SPLITS
+    while True:
+        total = vals.sum()
+        total_err = errs.sum()
+        bound = max(_ABS_TOL, _REL_TOL * abs(total))
+        if total_err <= bound:
+            return float(total)
+        if budget <= 0:
+            raise IntegrationError(f"tolerance not met after {_MAX_SPLITS} subdivisions")
+        # split every panel whose error exceeds its fair share of the
+        # budget; wide fronts cost little because evaluations are batched
+        score = errs / bound
+        pick = np.flatnonzero(score >= 1.0 / (2.0 * score.size))
+        pick = pick[np.argsort(score[pick])[::-1][:budget]]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        mid = 0.5 * (lo[pick] + hi[pick])
+        # panels already at floating point resolution cannot improve
+        splittable = (mid > lo[pick]) & (mid < hi[pick])
+        stuck = pick[~splittable]
+        errs[stuck] = 0.0
+        keep[stuck] = True
+        pick = pick[splittable]
+        if pick.size == 0:
+            if errs.sum() <= bound:
+                return float(vals.sum())
+            raise IntegrationError("interval refinement reached floating point resolution")
+        mid = mid[splittable]
+        new_lo = np.concatenate([lo[pick], mid])
+        new_hi = np.concatenate([mid, hi[pick]])
+        budget -= pick.size
+        new_vals, new_errs = _kronrod(f(kronrod_nodes(new_lo, new_hi).ravel()), new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])

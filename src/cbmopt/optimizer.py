@@ -70,8 +70,10 @@ class OptimizerConfig:
         if not (self.x_tol > 0.0 and self.f_tol > 0.0):
             raise DomainError("tolerances must be positive")
         lo, hi = self.tau_bounds
-        if not (0.0 < lo < hi):
-            raise DomainError(f"tau_bounds must be ordered and positive, got {self.tau_bounds}")
+        if not (0.0 < lo < hi and math.isfinite(hi)):
+            raise DomainError(
+                f"tau_bounds must be finite, ordered and positive, got {self.tau_bounds}"
+            )
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 

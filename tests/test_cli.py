@@ -439,17 +439,20 @@ class TestExitCodes:
         assert code == 2
         assert "config error: seed must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where, value", [
-        ("optimizer.tau_bounds[0]", ["a", 5]),
-        ("optimizer.tau_bounds[0]", [None, 5]),
-        ("optimizer.tau_bounds[0]", [True, 5]),
-        ("optimizer.tau_bounds", [1, 2, 3]),
-        ("optimizer.seed", 1.5),
-        ("simulation.seed", 1.5),
-        ("system.components[0].h1", 10**400),  # a 401-digit integer literal
-    ], ids=["bound-string", "bound-null", "bound-bool", "three-bounds",
+    @pytest.mark.parametrize("where, value, named", [
+        ("optimizer.tau_bounds[0]", ["a", 5], "optimizer.tau_bounds[0] "),
+        ("optimizer.tau_bounds[0]", [None, 5], "optimizer.tau_bounds[0] "),
+        ("optimizer.tau_bounds[0]", [True, 5], "optimizer.tau_bounds[0] "),
+        ("optimizer.tau_bounds", [1, 2, 3], "optimizer.tau_bounds "),
+        # 1e309 overflows to inf, which the section's own check refuses
+        ("optimizer.tau_bounds", [0.001, 1e309], "optimizer: tau_bounds must be finite"),
+        ("optimizer.seed", 1.5, "optimizer.seed "),
+        ("simulation.seed", 1.5, "simulation.seed "),
+        # a 401-digit integer literal
+        ("system.components[0].h1", 10**400, "system.components[0].h1 "),
+    ], ids=["bound-string", "bound-null", "bound-bool", "three-bounds", "bound-overflow",
             "fractional-optimizer-seed", "fractional-simulation-seed", "h1-401-digits"])
-    def test_malformed_value_is_exit_2(self, tmp_path, capsys, where, value):
+    def test_malformed_value_is_exit_2(self, tmp_path, capsys, where, value, named):
         payload = small_config()
         if where.startswith("system"):
             payload["system"]["components"][0]["h1"] = value
@@ -460,7 +463,7 @@ class TestExitCodes:
         code = main([command, "--config", write_config(tmp_path, payload),
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert f"config error: {where} " in capsys.readouterr().err
+        assert f"config error: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flags", [
         ("reliability", ["--t-max", "inf"]),

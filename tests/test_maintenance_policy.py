@@ -264,6 +264,30 @@ class TestCostRate:
             assert b.e_ni == expected_inspections(system, policy)
             assert b.e_rho == expected_downtime(system, policy)
 
+    def test_downtime_integral_runs_through_the_module_name(self, monkeypatch):
+        # the quadrature is called through maintenance_policy's attribute,
+        # so a wrapper put there (as the benchmark's tracer does) sees it
+        bench = table2_system()
+        system = random_system(np.random.default_rng(1), 3)
+        cases = [
+            (bench, Policy(tau=0.0082, h2=tuple(0.5 * c.h1 for c in bench.components))),
+            (system, Policy(tau=5.0, h2=tuple(0.5 * c.h1 for c in system.components))),
+        ]
+        costs = CostParams(1.0, 300.0, 80.0)
+        plain = [cost_rate(s, p, costs) for s, p in cases]
+        calls = []
+        original = maintenance_policy.adaptive_integrate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(maintenance_policy, "adaptive_integrate", counted)
+        for (s, p), expected in zip(cases, plain):
+            before = len(calls)
+            assert cost_rate(s, p, costs) == expected
+            assert len(calls) > before
+
 
 class TestFirstBatch:
     @staticmethod
