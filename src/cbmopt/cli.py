@@ -373,6 +373,8 @@ def cmd_optimize(
         "best_breakdown": _breakdown_dict(result.best_breakdown),
         "iterations_used": result.iterations_used,
         "starts_converged": result.starts_converged,
+        "evaluations": result.evaluations,
+        "failed_evaluations": result.failed_evaluations,
         "trace_length": len(result.trace),
     }
     if out_path:
@@ -393,6 +395,11 @@ def cmd_optimize(
         _write_csv(trace_path, header, [list(col) for col in zip(*rows)] if rows else [[] for _ in header])
         outputs["trace_csv"] = trace_path
     warnings = [] if fixed_tau is not None else _bound_warning(result.best_policy.tau, opt.tau_bounds)
+    if result.stop_reason == "f_tol" and result.iterations_used == 1:
+        warnings.append(
+            "the best start stopped on its f_tol test in its first iteration: the objective "
+            "was already flat across its initial simplex, so the reported optimum may be arbitrary"
+        )
     return _report("optimize", config, outputs, warnings, started)
 
 

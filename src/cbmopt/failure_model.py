@@ -159,7 +159,7 @@ def shock_survival_prob(c: ComponentParams) -> float:
     return float(special.ndtr((c.d - c.w_mu) / c.w_sigma))
 
 
-def threshold_cdf_block(c: ComponentParams, x, times, max_m: int) -> np.ndarray:
+def threshold_cdf_block(c: ComponentParams, x, times, max_m: int, segments=None) -> np.ndarray:
     """P(wear(t) + m damage jumps <= x) for every m = 0..max_m and every
     time t at once.
 
@@ -170,6 +170,12 @@ def threshold_cdf_block(c: ComponentParams, x, times, max_m: int) -> np.ndarray:
     broadcast shape of x and times. The m = 0 row is the wear CDF alone and
     the t = 0 columns the jump-sum CDF alone; every other cell is the exact
     gamma-sum mixture of _gamma_sum_cdf, one loop for all of them.
+
+    segments, a list of (length, own max_m) pairs that split the times into
+    consecutive runs, makes each run's cells bit for bit those of a call on
+    that run alone with its own max_m: the mixture stops for each run where
+    that call would stop. A run's rows past its own max_m hold values in
+    [0, 1] that mean nothing.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -191,14 +197,30 @@ def threshold_cdf_block(c: ComponentParams, x, times, max_m: int) -> np.ndarray:
         # no wear yet at t = 0, only the jump sum
         out[1:, ..., at_zero] = special.gammainc(jump_shapes, c.y_beta * levels(at_zero))
         if worn.any():
+            runs = None if segments is None else _mixture_runs(segments, worn, jump_shapes)
             mixture = _gamma_sum_cdf(
-                c.alpha * t[worn], c.beta, jump_shapes, c.y_beta, levels(worn)
+                c.alpha * t[worn], c.beta, jump_shapes, c.y_beta, levels(worn), runs
             )
             out[1:, ..., worn] = np.clip(mixture, 0.0, 1.0)
     return out
 
 
-def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndarray:
+def _mixture_runs(segments, worn: np.ndarray, jump_shapes: np.ndarray):
+    """The runs argument of _gamma_sum_cdf for the worn times of
+    threshold_cdf_block's segments: the start of each run that has a worn
+    time, and which cells count toward their run's stop (None if all do)."""
+    lengths, own = np.array(segments).T
+    worn_before = np.concatenate([[0], np.cumsum(worn)])
+    starts = worn_before[np.cumsum(lengths) - lengths]
+    sizes = worn_before[np.cumsum(lengths)] - starts
+    kept = sizes > 0
+    # the row of jump count m counts up to each run's own max_m
+    m = np.arange(1, jump_shapes.shape[0] + 1).reshape(jump_shapes.shape)
+    counted = m <= np.repeat(own[kept], sizes[kept])
+    return starts[kept], None if counted.all() else counted
+
+
+def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x, runs=None) -> np.ndarray:
     """P(A + B <= x) for independent A ~ gamma(shape_a, rate_a) and
     B ~ gamma(shape_b, rate_b), with positive shape arrays and levels
     x >= 0 that all broadcast together.
@@ -234,6 +256,13 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndar
     about 8,900 at p = 0.5, 1,400 at p = 0.15, 850 at p = 0.1, 350 at
     p = 0.05, 33 at p = 0.01 and 3 at p = 0.001; wider rate ratios or
     larger slow shapes raise.
+
+    runs = (starts, counted) splits the last axis of the cells into runs
+    that start at starts, and the sum then stops for each run on its own
+    cells, where it would stop on that run alone; a run that has stopped
+    leaves the arrays, so it costs no further work. Cells where counted is
+    false (None: nowhere) have no say in their run's stop and return
+    values that mean nothing.
     """
     if rate_a > rate_b:
         shape_a, rate_a, shape_b, rate_b = shape_b, rate_b, shape_a, rate_a
@@ -245,6 +274,15 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndar
         return special.gammainc(s, z)
     q = 1.0 - p
     cdf = special.gammainc(s, z)
+    if runs is not None:
+        starts, counted = runs
+        if counted is not None:
+            # a cell that starts at 0 keeps a bound <= 0
+            cdf = np.where(counted, cdf, 0.0)
+        sizes = np.diff(np.append(starts, cdf.shape[-1]))
+        columns = np.arange(cdf.shape[-1])  # where each column of the sum goes
+        lead = tuple(range(cdf.ndim - 1))
+        out = np.empty_like(cdf)
     log_z = _log_levels(z)
     log_d = s * log_z - z - special.gammaln(s + 1.0)
     total = np.zeros_like(cdf)
@@ -264,8 +302,25 @@ def _gamma_sum_cdf(shape_a, rate_a: float, shape_b, rate_b: float, x) -> np.ndar
         rho = np.maximum(ratio, q)
         tail = np.minimum(np.divide(w, 1.0 - rho, out=np.ones_like(w), where=rho < 1.0), 1.0)
         for j in range(rows):
-            if (cdf * tail[j]).max(initial=0.0) <= _MIXTURE_EPS:
-                return total
+            if runs is None:
+                if (cdf * tail[j]).max(initial=0.0) <= _MIXTURE_EPS:
+                    return total
+            else:
+                bounds = np.maximum.reduceat((cdf * tail[j]).max(axis=lead), starts)
+                if bounds.min() <= _MIXTURE_EPS:
+                    # the runs that stop leave every array with a column axis
+                    ending = bounds <= _MIXTURE_EPS
+                    done = np.repeat(ending, sizes)
+                    out[..., columns[done]] = total[..., done]
+                    if done.all():
+                        return out
+                    n, keep = columns.size, ~done
+                    cdf, log_d, s, total, log_z, slow, log_w, w, tail = (
+                        a[..., keep] if a.shape[-1] == n else a
+                        for a in (cdf, log_d, s, total, log_z, slow, log_w, w, tail)
+                    )
+                    columns, sizes = columns[keep], sizes[~ending]
+                    starts = np.cumsum(sizes) - sizes
             total += w[j] * cdf
             cdf -= np.exp(log_d)
             s += 1.0

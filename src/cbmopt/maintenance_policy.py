@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, TailCapError
+from .errors import CbmError, DomainError, TailCapError
 from .failure_model import SystemModel, TruncationConfig
 from .numerics import adaptive_integrate, kronrod_nodes, negligible_shape
 from .system_reliability import as_thresholds, series_survival_over_times
@@ -122,32 +122,28 @@ def _wear_bound_end(model: SystemModel, h2, tau: float, tail: SeriesTailConfig) 
     return int(below[0]) + 1 if below.size else None
 
 
-def _cdf_ladder(
-    model: SystemModel,
-    policy: Policy,
-    trunc: TruncationConfig | None,
-    tail: SeriesTailConfig | None,
-) -> tuple[list[float], np.ndarray, float, np.ndarray]:
-    """Validate the policy and sample its detection-time CDF at 0, tau,
-    2*tau, ... until the tail drops below the cutoff; raises TailCapError
-    if that never happens within the cap.
+def _ladder_passes(model: SystemModel, policy: Policy, tail: SeriesTailConfig):
+    """The detection-time CDF of one policy at 0, tau, 2*tau, ... until the
+    tail drops below the cutoff, as a generator of its survival passes; it
+    raises TailCapError if that never happens within the cap.
 
-    Each batch of epochs is one survival pass at the levels h2 and h1. The
-    first also carries, at h1 only, the probe time tau/128. Where the
-    wear-only bound shows that the ladder ends within _FIRST_BATCH epochs,
-    the first batch holds exactly those epochs, and its pass also carries
-    the Gauss-Kronrod nodes of their intervals, so that the downtime
-    integral needs no pass of its own for its first round. Otherwise the
-    batches hold 8, 16, 32 and then 64 epochs, and no nodes: on a longer
-    ladder the downtime integral's own pass covers them at less cost.
-    Returns the ladder, the failure-time CDF at the same epochs, at the
-    probe, and at the nodes carried (one row of 15 per interval), which
-    _downtime_from_ladder needs.
+    Each batch of epochs is one pass at the levels h2 and h1: the generator
+    yields the pass's times and threshold rows, in the form that
+    series_survival_over_times takes them, and is sent back 1 - survival,
+    raveled. The first batch also carries, at h1 only, the probe time
+    tau/128. Where the wear-only bound shows that the
+    ladder ends within _FIRST_BATCH epochs, the first batch holds exactly
+    those epochs, and its pass also carries the Gauss-Kronrod nodes of
+    their intervals, so that the downtime integral needs no pass of its own
+    for its first round. Otherwise the batches hold 8, 16, 32 and then 64
+    epochs, and no nodes: on a longer ladder the downtime integral's own
+    pass covers them at less cost. Returns the ladder, the failure-time CDF
+    at the same epochs, at the probe, and at the nodes carried (one row of
+    15 per interval), which _downtime_from_ladder needs.
     """
     h2 = as_thresholds(model, policy.h2)
     rows = np.array([h2, model.h1_vector])
     tau = policy.tau
-    tail = tail or DEFAULT_TAIL
     ladder = [0.0]
     failure = [0.0]
     k = 0
@@ -168,20 +164,79 @@ def _cdf_ladder(
             lows = np.array([(j - 1) * tau for j in carried])
             at = kronrod_nodes(lows, epochs[: len(carried)])
             times = np.concatenate([epochs, epochs, [tau / 128.0], at.ravel()])
-            pairs = np.repeat(rows, [n, times.size - n], axis=0)
-            cdfs = 1.0 - series_survival_over_times(model, times[:, None], pairs, trunc)[:, 0]
+            cdfs = yield times[:, None], np.repeat(rows, [n, times.size - n], axis=0)
             probe = float(cdfs[2 * n])
             first_round = cdfs[2 * n + 1 :].reshape(at.shape)
-            cdfs = cdfs[: 2 * n].reshape(2, n)
         else:
-            cdfs = 1.0 - series_survival_over_times(model, epochs, rows, trunc)
-        for f_k, f1_k in zip(cdfs[0], cdfs[1]):
+            cdfs = yield epochs, rows
+        for f_k, f1_k in zip(cdfs[:n], cdfs[n : 2 * n]):
             k += 1
             ladder.append(float(f_k))
             failure.append(f1_k)
             if 1.0 - f_k < tail.k_tail_eps:
                 return ladder, np.array(failure), probe, first_round
         batch = min(batch * 2, 64)
+
+
+def _cdf_ladders(
+    model: SystemModel,
+    policies: list[Policy],
+    trunc: TruncationConfig | None,
+    tail: SeriesTailConfig | None,
+) -> list:
+    """The ladders of _ladder_passes for every policy, built in rounds: each
+    round is one survival pass over the next batch of every ladder still
+    open. Returns per policy its ladder or the CbmError that its own ladder
+    raised; an error of a pass itself propagates.
+    """
+    tail = tail or DEFAULT_TAIL
+    outcomes: list = [None] * len(policies)
+    asks = {}  # policy index -> its generator and the (times, rows) it asks for
+
+    def advance(i, passes, cdfs):
+        try:
+            asks[i] = passes, passes.send(cdfs)
+        except StopIteration as done:
+            outcomes[i] = done.value
+        except CbmError as error:
+            outcomes[i] = error
+
+    for i, policy in enumerate(policies):
+        advance(i, _ladder_passes(model, policy, tail), None)
+    while asks:
+        round_ = [(i, *asks.pop(i)) for i in list(asks)]
+        if len(round_) == 1:
+            # a lone ladder's pass keeps its own form: shared epochs for
+            # both levels make a later batch's mixture a little cheaper
+            cdfs = [(1.0 - series_survival_over_times(model, *round_[0][2], trunc)).ravel()]
+        else:
+            # one threshold row per time, and one segment per ladder, so that
+            # each gets what a pass of its own gives
+            times, rows = zip(*(_as_pairs(*ask) for _, _, ask in round_))
+            sizes = [t.size for t in times]
+            survival = series_survival_over_times(
+                model, np.concatenate(times)[:, None], np.concatenate(rows), trunc, segments=sizes
+            )
+            cdfs = np.split(1.0 - survival[:, 0], np.cumsum(sizes)[:-1])
+        for (i, passes, _), part in zip(round_, cdfs):
+            advance(i, passes, part)
+    return outcomes
+
+
+def _as_pairs(times: np.ndarray, rows: np.ndarray):
+    """The times and threshold rows of a survival pass as one row per time,
+    in the order of the pass's raveled result."""
+    if times.ndim == 2:
+        return times[:, 0], rows
+    return np.tile(times, len(rows)), np.repeat(rows, times.size, axis=0)
+
+
+def _cdf_ladder(model, policy, trunc, tail):
+    """The ladder of one policy; raises what building it raised."""
+    [outcome] = _cdf_ladders(model, [policy], trunc, tail)
+    if isinstance(outcome, CbmError):
+        raise outcome
+    return outcome
 
 
 def _inspections_from_ladder(ladder: list[float]) -> float:
@@ -294,15 +349,53 @@ def expected_downtime(
     return _downtime_from_ladder(policy.tau, ladder, *rest, _direct_failure_cdf(model, trunc))
 
 
+def _breakdowns(
+    model: SystemModel,
+    policies: list[Policy],
+    costs: CostParams,
+    trunc: TruncationConfig | None,
+    tail: SeriesTailConfig | None,
+    failure_cdfs: list[FailureCdf],
+) -> list:
+    """Per policy its CostBreakdown or the CbmError it raised; a stacked
+    pass that raises is made again one policy at a time."""
+    try:
+        ladders = _cdf_ladders(model, policies, trunc, tail)
+    except CbmError as error:
+        if len(policies) == 1:
+            return [error]
+        # a cap that one policy reaches fails the pass of all of them
+        return [
+            outcome
+            for policy, failure_cdf in zip(policies, failure_cdfs)
+            for outcome in _breakdowns(model, [policy], costs, trunc, tail, [failure_cdf])
+        ]
+    outcomes = []
+    for policy, ladder, failure_cdf in zip(policies, ladders, failure_cdfs):
+        if isinstance(ladder, CbmError):
+            outcomes.append(ladder)
+            continue
+        try:
+            e_rho = _downtime_from_ladder(policy.tau, *ladder, failure_cdf)
+        except CbmError as error:
+            outcomes.append(error)
+            continue
+        e_ni = _inspections_from_ladder(ladder[0])
+        e_k = policy.tau * e_ni
+        e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
+        outcomes.append(CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k))
+    return outcomes
+
+
 def cost_rate(
     model: SystemModel,
-    policy: Policy,
+    policy: Policy | Sequence[Policy],
     costs: CostParams,
     trunc: TruncationConfig | None = None,
     tail: SeriesTailConfig | None = None,
     *,
-    failure_cdf: FailureCdf | None = None,
-) -> CostBreakdown:
+    failure_cdf: FailureCdf | Sequence[FailureCdf] | None = None,
+):
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
     E[N_I] and E[rho] share one ladder of detection- and failure-CDF values.
@@ -312,17 +405,36 @@ def cost_rate(
     returns; by default it is that survival pass. A caller that evaluates
     many policies at one tau, such as the optimizer, passes a memo of
     those passes instead.
+
+    policy may also be a sequence of policies, with failure_cdf then a
+    sequence of one callable per policy (or None). Their ladders are built
+    together, each round one survival pass over the next batch of every
+    ladder still open, while each downtime integral stays with its own
+    policy. Each ladder is one segment of the pass (see
+    series_survival_over_times), with its own shock-count cutoff and
+    mixture stop, so the result, a list of one entry per policy, holds bit
+    for bit what single calls give: the policy's CostBreakdown or the
+    CbmError it raised. A series cap that one policy reaches fails the
+    whole pass; the policies are then evaluated again one at a time.
     """
     # the ladder's first pass keeps its h1 rows even where failure_cdf could
     # supply them: without them the h2 row's mixture loop would stop at
     # another term, changing the last bits, and where the fixed-tau
     # objective is flat to the ulp (table 2 at 24 h and 120 h) the reported
     # h2 would flip
-    ladder, *rest = _cdf_ladder(model, policy, trunc, tail)
-    e_ni = _inspections_from_ladder(ladder)
-    e_rho = _downtime_from_ladder(
-        policy.tau, ladder, *rest, failure_cdf or _direct_failure_cdf(model, trunc)
-    )
-    e_k = policy.tau * e_ni
-    e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
-    return CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k)
+    if isinstance(policy, Policy):
+        [outcome] = _breakdowns(
+            model, [policy], costs, trunc, tail, [failure_cdf or _direct_failure_cdf(model, trunc)]
+        )
+        if isinstance(outcome, CbmError):
+            raise outcome
+        return outcome
+    policies = list(policy)
+    failure_cdfs = [_direct_failure_cdf(model, trunc)] * len(policies)
+    if failure_cdf is not None:
+        failure_cdfs = list(failure_cdf)
+        if len(failure_cdfs) != len(policies):
+            raise DomainError(
+                f"failure_cdf has {len(failure_cdfs)} callables for {len(policies)} policies"
+            )
+    return _breakdowns(model, policies, costs, trunc, tail, failure_cdfs)

@@ -16,17 +16,27 @@ scale; the cost of inspecting explodes as the interval shrinks toward
 zero, and a linear scale would waste most starts on the far right of the
 range.
 
+The starts run in lockstep: each Nelder-Mead search is a generator that
+asks for the points it needs (its initial simplex, one candidate, or a
+shrink's vertices), and each round the points that every live start asks
+for, less those already evaluated, go to cost_rate as one stacked call.
+A stacked call builds all their ladders in shared survival passes and
+gives each policy bit for bit what a single call gives, so every start
+makes the decisions it would make alone.
+
 The failure-time CDF does not depend on the thresholds, and at one
 inspection interval the downtime integral asks for it at the same time
 arrays again and again. Each search therefore keeps one memo of those
-passes for the current tau (see _FailureCdfMemo): a fixed-tau search makes
-each pass once, and so do the vertices of a joint search's initial simplex
-that share tau.
+passes for the taus of its latest stacked call (see _FailureCdfMemo): a
+fixed-tau search makes each pass once, and so do the vertices of a joint
+search's initial simplices that share tau.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +77,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.multistart_count < 1 or self.max_iterations < 1:
             raise DomainError("multistart_count and max_iterations must be >= 1")
-        if not (self.x_tol > 0.0 and self.f_tol > 0.0):
-            raise DomainError("tolerances must be positive")
+        if not (0.0 < self.x_tol < math.inf and 0.0 < self.f_tol < math.inf):
+            raise DomainError(
+                f"tolerances must be finite and positive, "
+                f"got x_tol {self.x_tol}, f_tol {self.f_tol}"
+            )
         lo, hi = self.tau_bounds
         if not (0.0 < lo < hi and math.isfinite(hi)):
             raise DomainError(
@@ -90,6 +103,11 @@ class OptimizationResult:
     iterations_used: int
     starts_converged: int
     trace: tuple[tuple[Policy, float], ...]
+    # why the best start stopped: "x_tol", "f_tol" or "max_iterations"
+    stop_reason: str
+    # distinct points evaluated, and the failed ones by CbmError class name
+    evaluations: int
+    failed_evaluations: dict[str, int]
 
 
 def _lhs_starts(seed: int, count: int, dim: int) -> np.ndarray:
@@ -111,11 +129,16 @@ def _lhs_starts(seed: int, count: int, dim: int) -> np.ndarray:
     return np.concatenate(blocks)[:count]
 
 
-def _nelder_mead(f, x0, max_iterations, x_tol, f_tol):
-    """Projected Nelder-Mead in the unit box.
+def _nelder_mead(x0, max_iterations, x_tol, f_tol):
+    """Projected Nelder-Mead in the unit box, as a generator: it yields the
+    points it needs evaluated, as the rows of an array (the initial
+    simplex, one candidate, or a shrink's vertices), and is sent a list of
+    their values.
 
-    Returns (best x, best f, trace of per-iteration bests, iterations,
-    converged flag). Candidates are clipped into [0, 1]^d before every
+    Returns (best x, best f, trace of per-iteration bests, iterations, stop
+    reason), the reason being "x_tol" or "f_tol" for a converged start,
+    "max_iterations", or "infeasible" when no vertex of the initial simplex
+    has a finite value. Candidates are clipped into [0, 1]^d before every
     evaluation and the tracked best is monotone by construction.
     """
     dim = x0.size
@@ -126,12 +149,12 @@ def _nelder_mead(f, x0, max_iterations, x_tol, f_tol):
         vertex[d] += step if vertex[d] + step <= 1.0 else -step
         simplex.append(np.clip(vertex, 0.0, 1.0))
     simplex = np.array(simplex)
-    values = np.array([f(v) for v in simplex])
+    values = np.array((yield simplex))
     trace = []
     iterations = 0
-    converged = False
+    reason = "max_iterations"
     if not np.isfinite(values.min()):
-        return simplex[0], math.inf, [], 0, False
+        return simplex[0], math.inf, [], 0, "infeasible"
 
     while iterations < max_iterations:
         iterations += 1
@@ -140,19 +163,19 @@ def _nelder_mead(f, x0, max_iterations, x_tol, f_tol):
         best, worst = values[0], values[-1]
         trace.append((simplex[0].copy(), float(best)))
         if np.max(np.abs(simplex[1:] - simplex[0])) <= x_tol:
-            converged = True
+            reason = "x_tol"
             break
         finite_spread = worst - best if math.isfinite(worst) else math.inf
         if finite_spread <= f_tol * max(1.0, abs(best)):
-            converged = True
+            reason = "f_tol"
             break
 
         centroid = simplex[:-1].mean(axis=0)
         reflected = np.clip(centroid + (centroid - simplex[-1]), 0.0, 1.0)
-        f_reflected = f(reflected)
+        [f_reflected] = yield reflected[None]
         if f_reflected < values[0]:
             expanded = np.clip(centroid + 2.0 * (centroid - simplex[-1]), 0.0, 1.0)
-            f_expanded = f(expanded)
+            [f_expanded] = yield expanded[None]
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
             else:
@@ -165,46 +188,72 @@ def _nelder_mead(f, x0, max_iterations, x_tol, f_tol):
             contracted = np.clip(centroid + 0.5 * (reflected - centroid), 0.0, 1.0)
         else:
             contracted = np.clip(centroid + 0.5 * (simplex[-1] - centroid), 0.0, 1.0)
-        f_contracted = f(contracted)
+        [f_contracted] = yield contracted[None]
         if f_contracted < min(values[-1], f_reflected):
             simplex[-1], values[-1] = contracted, f_contracted
             continue
         # shrink toward the best vertex
         simplex[1:] = np.clip(simplex[0] + 0.5 * (simplex[1:] - simplex[0]), 0.0, 1.0)
-        values[1:] = [f(v) for v in simplex[1:]]
+        values[1:] = yield simplex[1:]
 
     order = np.argsort(values)
     simplex, values = simplex[order], values[order]
     if trace and values[0] < trace[-1][1]:
         trace.append((simplex[0].copy(), float(values[0])))
-    return simplex[0], float(values[0]), trace, iterations, converged
+    return simplex[0], float(values[0]), trace, iterations, reason
+
+
+def _lockstep(evaluate, starts, config: OptimizerConfig):
+    """One Nelder-Mead search per start, run in lockstep: each round, the
+    points that every live search asks for go to evaluate in one call,
+    which maps an array of points (rows) to a list of their values.
+
+    Returns (best x, best f, best trace, iterations of the best start, its
+    stop reason, converged-start count), the best start being the first
+    with the lowest value. Raises AllStartsFailedError when no start sees
+    a finite value.
+    """
+    searches = [
+        _nelder_mead(np.asarray(x0, dtype=float), config.max_iterations, config.x_tol, config.f_tol)
+        for x0 in starts
+    ]
+    results = [None] * len(searches)
+    asks = {i: search.send(None) for i, search in enumerate(searches)}
+    while asks:
+        round_ = list(asks.items())
+        asks.clear()
+        values = evaluate(np.concatenate([points for _, points in round_]))
+        offset = 0
+        for i, points in round_:
+            part = values[offset : offset + len(points)]
+            offset += len(points)
+            try:
+                asks[i] = searches[i].send(part)
+            except StopIteration as done:
+                results[i] = done.value
+    finite = [result for result in results if math.isfinite(result[1])]
+    if not finite:
+        raise AllStartsFailedError(f"no finite objective value across {len(starts)} starts")
+    converged = sum(result[4] in ("x_tol", "f_tol") for result in results)
+    # min keeps the first of equal values
+    return (*min(finite, key=lambda result: result[1]), converged)
 
 
 def minimize_multistart(objective, dim, config: OptimizerConfig, starts=None):
     """Multistart projected Nelder-Mead in the unit cube.
 
     objective maps a point of [0, 1]^dim to a float; non-finite values mark
-    infeasible evaluations. Returns (best x, best f, best trace, iterations
-    of the best start, converged-start count). Raises AllStartsFailedError
-    when no start sees a finite value.
+    infeasible evaluations. The starts run in lockstep (see _lockstep).
+    Returns (best x, best f, best trace, iterations of the best start,
+    converged-start count). Raises AllStartsFailedError when no start sees
+    a finite value.
     """
     if starts is None:
         starts = _lhs_starts(config.seed, config.multistart_count, dim)
-    best = None
-    converged_count = 0
-    for x0 in starts:
-        x, fx, trace, iterations, converged = _nelder_mead(
-            objective, np.asarray(x0, dtype=float),
-            config.max_iterations, config.x_tol, config.f_tol,
-        )
-        converged_count += converged
-        if math.isfinite(fx) and (best is None or fx < best[1]):
-            best = (x, fx, trace, iterations)
-    if best is None:
-        raise AllStartsFailedError(
-            f"no finite objective value across {len(starts)} starts"
-        )
-    return best[0], best[1], best[2], best[3], converged_count
+    x, fx, trace, iterations, _, converged = _lockstep(
+        lambda points: [objective(z) for z in points], starts, config
+    )
+    return x, fx, trace, iterations, converged
 
 
 class _PolicyCodec:
@@ -236,63 +285,70 @@ class _PolicyCodec:
 
 
 class _FailureCdfMemo:
-    """The failure-time CDF passes of one search, at one tau at a time.
+    """The failure-time CDF passes of one search, for the taus of its
+    latest stacked call.
 
-    at(tau) gives the callable that cost_rate takes as failure_cdf. A
-    request is keyed by its whole 1-D time array: the same array in gives
-    the same pass out, so a hit is bit-identical to a fresh pass. A new tau
-    drops the requests held for the old one. Held arrays are read-only,
-    since every hit hands out the same one.
+    lookups(taus) gives the callables that a stacked cost_rate takes as
+    failure_cdf, one per tau, and drops the passes held for every other
+    tau. A request is keyed by its tau and its whole 1-D time array: the
+    same array in gives the same pass out, so a hit is bit-identical to a
+    fresh pass. Held arrays are read-only, since every hit hands out the
+    same one.
     """
 
     def __init__(self, model: SystemModel, trunc: TruncationConfig | None):
         self._direct = _direct_failure_cdf(model, trunc)
-        self.tau: float | None = None
-        self.held: dict[bytes, np.ndarray] = {}
+        self.held: dict[float, dict[bytes, np.ndarray]] = {}
 
-    def at(self, tau: float):
-        if tau != self.tau:
-            self.tau = tau
-            self.held.clear()
-        return self._lookup
+    def lookups(self, taus) -> list:
+        self.held = {tau: self.held.get(tau, {}) for tau in taus}
+        return [functools.partial(self._lookup, self.held[tau]) for tau in taus]
 
-    def _lookup(self, ts: np.ndarray) -> np.ndarray:
+    def _lookup(self, held: dict[bytes, np.ndarray], ts: np.ndarray) -> np.ndarray:
         key = ts.tobytes()
-        cdf = self.held.get(key)
+        cdf = held.get(key)
         if cdf is None:
             cdf = self._direct(ts)
             cdf.flags.writeable = False
-            self.held[key] = cdf
+            held[key] = cdf
         return cdf
 
 
 def _search(model, costs, config, trunc, tail, fixed_tau):
     codec = _PolicyCodec(model, config, fixed_tau)
     memo = _FailureCdfMemo(model, trunc)
-    # breakdown per evaluated point (None where it failed); the simplex can
-    # revisit a point, and the best point is always one already evaluated
-    evaluated: dict[bytes, CostBreakdown | None] = {}
+    # per evaluated point its breakdown or the CbmError it raised; the
+    # simplex can revisit a point, and the best point is always one
+    # already evaluated
+    evaluated: dict[bytes, CostBreakdown | CbmError] = {}
 
-    def objective(z):
-        key = z.tobytes()
-        if key not in evaluated:
-            try:
-                policy = codec.decode(z)
-                evaluated[key] = cost_rate(
-                    model, policy, costs, trunc, tail, failure_cdf=memo.at(policy.tau)
-                )
-            except CbmError:
-                evaluated[key] = None
-        breakdown = evaluated[key]
-        return math.inf if breakdown is None else breakdown.cr
+    def evaluate(points):
+        fresh = {}  # the points not yet evaluated, once each
+        for z in points:
+            key = z.tobytes()
+            if key not in evaluated and key not in fresh:
+                fresh[key] = codec.decode(z)
+        if fresh:
+            policies = list(fresh.values())
+            # called through this module's name, which perfbench/tracing.py wraps
+            outcomes = cost_rate(
+                model, policies, costs, trunc, tail,
+                failure_cdf=memo.lookups([policy.tau for policy in policies]),
+            )
+            evaluated.update(zip(fresh, outcomes))
+        return [
+            breakdown.cr if isinstance(breakdown, CostBreakdown) else math.inf
+            for breakdown in (evaluated[z.tobytes()] for z in points)
+        ]
 
     starts = _lhs_starts(config.seed, config.multistart_count, codec.dim)
     # keep threshold starts away from the degenerate box edges
     h2_cols = slice(1, None) if fixed_tau is None else slice(0, None)
     starts[:, h2_cols] = 0.05 + 0.9 * starts[:, h2_cols]
 
-    x, fx, trace, iterations, converged = minimize_multistart(
-        objective, codec.dim, config, starts=starts
+    x, fx, trace, iterations, reason, converged = _lockstep(evaluate, starts, config)
+    failed = Counter(
+        type(outcome).__name__ for outcome in evaluated.values() if isinstance(outcome, CbmError)
     )
     return OptimizationResult(
         best_policy=codec.decode(x),
@@ -300,6 +356,9 @@ def _search(model, costs, config, trunc, tail, fixed_tau):
         iterations_used=iterations,
         starts_converged=converged,
         trace=tuple((codec.decode(z), f) for z, f in trace),
+        stop_reason=reason,
+        evaluations=len(evaluated),
+        failed_evaluations=dict(sorted(failed.items())),
     )
 
 

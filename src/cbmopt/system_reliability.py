@@ -56,6 +56,8 @@ def series_survival_over_times(
     times,
     thresholds,
     trunc: TruncationConfig | None = None,
+    *,
+    segments=None,
 ) -> np.ndarray:
     """Probability that, by each time, no component has hard-failed or
     crossed its threshold.
@@ -67,6 +69,12 @@ def series_survival_over_times(
     cutoff is taken at the largest time, which only adds terms for the
     smaller ones; each component contributes one block of convolution CDFs
     over every (row, time) pair, so extra rows add no mixture loop.
+
+    segments, a list of lengths that split the times (raveled, when each
+    row has its own) into consecutive runs, makes one pass do the work of
+    one call per run: each run takes the shock-count cutoff at its own
+    largest time and its own mixture stop, so its values are bit for bit
+    those of a call on the run alone.
     """
     t = np.asarray(times, dtype=float)
     values = _threshold_array(model, thresholds)
@@ -83,17 +91,29 @@ def series_survival_over_times(
     else:  # (1, C) or (L, 1, C): every level at every time
         levels = values[..., None, :]
     mu = model.lam * t
-    n_terms = len(poisson_weights(float(mu.max()), trunc))
+    if segments is None:
+        n_terms = len(poisson_weights(float(mu.max()), trunc))
+    else:
+        ends = np.cumsum(segments)
+        if ends[-1] != t.size or min(segments) < 1:
+            raise DomainError("segments must be positive lengths that add up to the times")
+        own = [len(poisson_weights(float(part.max()), trunc)) for part in np.split(mu, ends[:-1])]
+        n_terms = max(own)
     weights = np.empty((n_terms, t.size))
     weights[0] = np.exp(-mu)
     for m in range(1, n_terms):
         weights[m] = weights[m - 1] * mu / m
+    if segments is not None:
+        # a run's terms past its own cutoff add exact zeros
+        for n, start, stop in zip(own, ends - segments, ends):
+            weights[n:, start:stop] = 0.0
+        segments = [(length, n - 1) for length, n in zip(segments, own)]
     # each block has the shock count first, then the levels' shape broadcast
     # against the times
     ones = (1,) * (np.broadcast(levels[..., 0], t).ndim - 1)
     factors = weights.reshape((n_terms,) + ones + (t.size,))
     for i, c in enumerate(model.components):
-        block = threshold_cdf_block(c, levels[..., i], t, n_terms - 1)
+        block = threshold_cdf_block(c, levels[..., i], t, n_terms - 1, segments)
         survive_powers = shock_survival_prob(c) ** np.arange(n_terms)
         factors = factors * survive_powers.reshape((-1,) + ones + (1,)) * block
     return np.clip(factors.sum(axis=0), 0.0, 1.0).reshape(shape)

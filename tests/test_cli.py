@@ -308,8 +308,25 @@ class TestBoundWarning:
         assert _bound_warning(1.18e-3, bounds) == _bound_warning(1e4 / 1.18, bounds) == []
 
     def test_fixed_tau_never_warns(self, tmp_path):
+        # the bound rule never fires at a fixed tau; the run's one warning is
+        # the flat-objective one (test_flat_objective_is_flagged)
         report = self.run(tmp_path, [150.0, 300.0], "--fixed-tau", "150")
-        assert report["warnings"] == []
+        assert not any("tau bound" in warning for warning in report["warnings"])
+
+    def test_flat_objective_is_flagged(self, tmp_path):
+        # at tau = 150 the cost rate is flat to f_tol across the best start's
+        # initial simplex, so that start stops in its first iteration
+        report = self.run(tmp_path, [150.0, 300.0], "--fixed-tau", "150")
+        assert report["outputs"]["iterations_used"] == 1
+        [warning] = report["warnings"]
+        assert "f_tol test in its first iteration" in warning
+
+    def test_report_counts_evaluations(self, tmp_path):
+        report = self.run(tmp_path, [0.5, 100.0])
+        outputs = report["outputs"]
+        # at least the initial simplex, one point per coordinate plus one
+        assert outputs["evaluations"] >= 4
+        assert outputs["failed_evaluations"] == {}
 
 
 class TestSimulateCommand:
@@ -446,12 +463,14 @@ class TestExitCodes:
         ("optimizer.tau_bounds", [1, 2, 3], "optimizer.tau_bounds "),
         # 1e309 overflows to inf, which the section's own check refuses
         ("optimizer.tau_bounds", [0.001, 1e309], "optimizer: tau_bounds must be finite"),
+        ("optimizer.x_tol", 1e309, "optimizer: tolerances must be finite"),
+        ("optimizer.f_tol", 1e309, "optimizer: tolerances must be finite"),
         ("optimizer.seed", 1.5, "optimizer.seed "),
         ("simulation.seed", 1.5, "simulation.seed "),
         # a 401-digit integer literal
         ("system.components[0].h1", 10**400, "system.components[0].h1 "),
     ], ids=["bound-string", "bound-null", "bound-bool", "three-bounds", "bound-overflow",
-            "fractional-optimizer-seed", "fractional-simulation-seed", "h1-401-digits"])
+            "x-tol-overflow", "f-tol-overflow", "fractional-optimizer-seed", "fractional-simulation-seed", "h1-401-digits"])
     def test_malformed_value_is_exit_2(self, tmp_path, capsys, where, value, named):
         payload = small_config()
         if where.startswith("system"):

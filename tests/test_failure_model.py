@@ -285,6 +285,34 @@ class TestThresholdCdfBlock:
         # no levels at all: an empty block, not an error
         assert threshold_cdf_block(c, np.empty((0, 1)), times, 8).shape == (9, 0, 5)
 
+    @pytest.mark.parametrize("case", ["wear slow", "jumps slow", "rows past max_m"])
+    def test_segments_match_calls_on_each_run(self, case):
+        # each run's rows up to its own max_m are bit for bit a call on the
+        # run alone, though other runs hold more rows and stop later
+        if case == "rows past max_m":
+            # the rows past the first run's max_m = 2 would hold its mixture
+            # open a term longer, moving its m = 2 cell by an ulp
+            c = ComponentParams("rows", 8.0, 2.0, 0.18, 1.35, 0.13, 0.69, 1.0, 0.5)
+            runs, levels = [([24.0], 2), ([27.0], 13)], [6.0, 4.5]
+        else:
+            rates = (0.4, 0.9) if case == "wear slow" else (0.9, 0.4)
+            c = ComponentParams("runs", 8.0, 2.0, 0.5, rates[0], 0.8, rates[1], 1.0, 0.5)
+            runs = [([0.0, 5e-324], 3), ([2.0, 6.4], 1), ([40.0], 12), ([0.3, 20.0, 9.0], 5),
+                    ([1.0], 0)]
+            levels = [c.h1, 0.3 * c.h1, c.h1, 0.7 * c.h1, 0.5 * c.h1]
+        times = np.concatenate([t for t, _ in runs])
+        per_time = np.repeat(levels, [len(t) for t, _ in runs])
+        max_m = max(m for _, m in runs)
+        block = threshold_cdf_block(
+            c, per_time, times, max_m, segments=[(len(t), m) for t, m in runs]
+        )
+        start = 0
+        for (t, m), x in zip(runs, levels):
+            alone = threshold_cdf_block(c, x, np.array(t), m)
+            assert np.array_equal(block[: m + 1, start : start + len(t)], alone)
+            start += len(t)
+        assert np.all((block >= 0.0) & (block <= 1.0))
+
     def test_beyond_the_term_cap_raises_quickly(self):
         # rate ratio 1e-3 at wear shape 1e3: the mixture weights spread over
         # about 3e4 terms per standard deviation

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cbmopt import maintenance_policy
-from cbmopt.errors import DomainError, TailCapError
-from cbmopt.failure_model import SystemModel
+from cbmopt.errors import CbmError, DomainError, TailCapError, TruncationCapError
+from cbmopt.failure_model import SystemModel, TruncationConfig
 from cbmopt.maintenance_policy import (
     CostBreakdown,
     CostParams,
@@ -32,7 +32,7 @@ from cbmopt.maintenance_policy import (
 from cbmopt.simulator import SimulationConfig, simulate_many
 from cbmopt.system_reliability import series_survival_over_times
 
-from conftest import random_system, table2_system
+from conftest import random_system, table2_system, table3_system
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +343,101 @@ class TestFirstBatch:
         b = cost_rate(system, policy, costs)
         frozen = tuple(float.fromhex(v) for v in expected)
         assert (b.e_ni, b.e_rho, b.cr) == pytest.approx(frozen, rel=1e-10)
+
+
+class TestStackedCostRate:
+    """cost_rate on a sequence of policies: one ladder pass per round for
+    all of them, one entry per policy, each what a single call gives."""
+
+    @staticmethod
+    def single(system, policy, costs, trunc=None, tail=None):
+        try:
+            return cost_rate(system, policy, costs, trunc, tail)
+        except CbmError as error:
+            return error
+
+    @staticmethod
+    def assert_same(stacked, single):
+        if isinstance(single, CbmError):
+            assert type(stacked) is type(single) and str(stacked) == str(single)
+            return
+        for field in ("e_ni", "e_rho", "cr"):
+            a, b = getattr(stacked, field), getattr(single, field)
+            assert abs(a - b) <= 1e-15 * abs(b), (field, a.hex(), b.hex())
+
+    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4])
+    def test_entries_match_single_calls(self, case):
+        rng = np.random.default_rng(17)
+        if case in ("table2", "table3"):
+            system = table2_system() if case == "table2" else table3_system()
+            costs, taus = CostParams(1.0, 20000.0, 100.0), (1e-3, 1e4)
+            # a 50-inspection cap fails the policies of the shortest taus
+            tail = SeriesTailConfig(k_max_cap=50)
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+            costs, taus, tail = CostParams(1.0, 300.0, 80.0), (0.3, 100.0), None
+        failed = []
+        for size in range(2, 7):
+            policies = [
+                Policy(
+                    tau=float(np.exp(rng.uniform(*np.log(taus)))),
+                    h2=tuple(float(rng.uniform()) * h for h in system.h1_vector),
+                )
+                for _ in range(size)
+            ]
+            if case not in ("table2", "table3"):
+                # a threshold vector of the wrong length fails its own ladder
+                policies.insert(size // 2, Policy(tau=1.0, h2=(0.0,)))
+            stacked = cost_rate(system, policies, costs, tail=tail)
+            assert len(stacked) == len(policies)
+            for policy, entry in zip(policies, stacked):
+                self.assert_same(entry, self.single(system, policy, costs, tail=tail))
+            failed += [type(entry) for entry in stacked if isinstance(entry, CbmError)]
+        if case in ("table2", "table3"):
+            assert failed and set(failed) == {TailCapError}
+        else:
+            assert failed == [DomainError] * 5
+
+    def test_stack_whose_pass_raises_gives_single_outcomes(self, monkeypatch):
+        # at most 20 shock terms: the stack's largest time needs more, so its
+        # pass raises; each policy then gets what a single call gives
+        system = random_system(np.random.default_rng(1), 3)
+        costs, trunc = CostParams(1.0, 300.0, 80.0), TruncationConfig(m_max_cap=20)
+        policies = [
+            Policy(tau=tau, h2=tuple(0.6 * h for h in system.h1_vector))
+            for tau in (2.0, 100.0, 5.0)
+        ]
+        survival = maintenance_policy.series_survival_over_times
+        raised = []
+
+        def watched(*args, **kwargs):
+            try:
+                return survival(*args, **kwargs)
+            except TruncationCapError:
+                raised.append(kwargs.get("segments"))
+                raise
+
+        monkeypatch.setattr(maintenance_policy, "series_survival_over_times", watched)
+        stacked = cost_rate(system, policies, costs, trunc)
+        assert raised[0] is not None  # the stacked pass
+        assert isinstance(stacked[1], TruncationCapError)
+        for policy, entry in zip(policies, stacked):
+            single = self.single(system, policy, costs, trunc)
+            self.assert_same(entry, single)
+            if not isinstance(single, CbmError):
+                assert entry == single
+
+    def test_single_policy_call_keeps_its_form(self):
+        system = table2_system()
+        costs = CostParams(1.0, 20000.0, 100.0)
+        policy = Policy(tau=0.0082, h2=tuple(0.5 * h for h in system.h1_vector))
+        assert cost_rate(system, [policy], costs) == [cost_rate(system, policy, costs)]
+        with pytest.raises(TailCapError):
+            cost_rate(system, policy, costs, tail=SeriesTailConfig(k_max_cap=50))
+        [entry] = cost_rate(system, [policy], costs, tail=SeriesTailConfig(k_max_cap=50))
+        assert isinstance(entry, TailCapError)
+        with pytest.raises(DomainError, match="1 callables for 2 policies"):
+            cost_rate(system, [policy, policy], costs, failure_cdf=[None])
 
 
 @given(

@@ -16,6 +16,7 @@ from cbmopt.maintenance_policy import CostParams, Policy, cost_rate
 from cbmopt.optimizer import (
     OptimizerConfig,
     _FailureCdfMemo,
+    _lhs_starts,
     minimize_multistart,
     optimize_fixed_tau,
     optimize_policy,
@@ -88,6 +89,26 @@ class TestMinimizeMultistart:
             OptimizerConfig(multistart_count=0)
         with pytest.raises(DomainError):
             OptimizerConfig(tau_bounds=(1.0, 0.5))
+        for tolerances in [{"x_tol": math.inf}, {"f_tol": math.inf}, {"f_tol": float("1e309")}]:
+            with pytest.raises(DomainError, match="finite"):
+                OptimizerConfig(**tolerances)
+
+    def test_lockstep_matches_one_start_at_a_time(self):
+        # each start makes the decisions it would make alone, and the best
+        # is the first start with the lowest value
+        def bumpy(z):
+            return float(np.sum((np.asarray(z) - 0.73) ** 2) + 0.05 * np.sum(np.cos(40.0 * z)))
+
+        config = OptimizerConfig(multistart_count=6, max_iterations=200, seed=2)
+        starts = _lhs_starts(config.seed, config.multistart_count, 2)
+        together = minimize_multistart(bumpy, 2, config, starts=starts)
+        alone = [minimize_multistart(bumpy, 2, config, starts=[x0]) for x0 in starts]
+        first_best = min(range(len(alone)), key=lambda i: alone[i][1])
+        x, fx, trace, iterations, _ = alone[first_best]
+        assert np.array_equal(together[0], x) and together[1] == fx
+        assert together[3] == iterations
+        assert [(list(z), f) for z, f in together[2]] == [(list(z), f) for z, f in trace]
+        assert together[4] == sum(run[4] for run in alone)
 
 
 @pytest.fixture(scope="module")
@@ -161,9 +182,9 @@ class TestPolicyOptimization:
 
         seen = []
 
-        def counting_cost_rate(model, policy, costs, trunc=None, tail=None, **kwargs):
-            seen.append((policy.tau, policy.h2))
-            return cost_rate(model, policy, costs, trunc, tail, **kwargs)
+        def counting_cost_rate(model, policies, costs, trunc=None, tail=None, **kwargs):
+            seen.extend((policy.tau, policy.h2) for policy in policies)
+            return cost_rate(model, policies, costs, trunc, tail, **kwargs)
 
         monkeypatch.setattr(optimizer_module, "cost_rate", counting_cost_rate)
         config = OptimizerConfig(
@@ -171,9 +192,52 @@ class TestPolicyOptimization:
             seed=7, tau_bounds=(0.5, 200.0),
         )
         result = optimize_policy(model, costs, config)
-        assert len(seen) == len(set(seen))
+        assert len(seen) == len(set(seen)) == result.evaluations
         assert (result.best_policy.tau, result.best_policy.h2) in set(seen)
         assert result.best_breakdown == cost_rate(model, result.best_policy, costs)
+
+    def test_lockstep_search_matches_one_start_at_a_time(self, costs, monkeypatch):
+        # the stacked calls give every start the values that single calls
+        # give, so each start makes the decisions it would make alone
+        import cbmopt.optimizer as optimizer_module
+
+        system = random_system(np.random.default_rng(1), 3)
+        config = OptimizerConfig(
+            multistart_count=3, max_iterations=25, seed=4, tau_bounds=(0.5, 100.0),
+        )
+        together = optimize_policy(system, costs, config)
+        points = _lhs_starts(config.seed, config.multistart_count, system.n + 1)
+        alone = []
+        for start in range(config.multistart_count):
+            # the search of one point of the same start stream
+            one = points[start : start + 1].copy()
+            monkeypatch.setattr(optimizer_module, "_lhs_starts", lambda *_: one)
+            alone.append(optimize_policy(system, costs, config))
+        values = [run.best_breakdown.cr for run in alone]
+        best = alone[values.index(min(values))]
+        assert together.best_policy == best.best_policy
+        assert together.best_breakdown == best.best_breakdown
+        assert together.trace == best.trace
+        assert together.iterations_used == best.iterations_used
+        assert together.starts_converged == sum(run.starts_converged for run in alone)
+
+    def test_stacked_calls_share_survival_passes(self, monkeypatch):
+        # two starts in lockstep: every round's candidates share one ladder
+        # pass, so there are fewer passes than evaluations
+        system = random_system(np.random.default_rng(1), 3)
+        survival = maintenance_policy.series_survival_over_times
+        passes = []
+
+        def counted_survival(*args, **kwargs):
+            passes.append(1)
+            return survival(*args, **kwargs)
+
+        monkeypatch.setattr(maintenance_policy, "series_survival_over_times", counted_survival)
+        config = OptimizerConfig(
+            multistart_count=2, max_iterations=20, seed=0, tau_bounds=(1.0, 10.0),
+        )
+        result = optimize_policy(system, CostParams(c_i=50.0, c_rho=400.0, c_r=60.0), config)
+        assert 0 < len(passes) < result.evaluations
 
 
 class TestFailureCdfMemo:
@@ -195,12 +259,14 @@ class TestFailureCdfMemo:
         assert result.best_breakdown == cost_rate(system, result.best_policy, costs)
 
     def test_later_evaluations_make_one_survival_pass(self, monkeypatch):
-        # table 2 at 24 h: the first evaluation refines the failure CDF's
-        # area in several passes; every later one makes only its ladder pass
+        # table 2 at 0.5 h: the first stacked call refines the failure CDF's
+        # area in several passes; every later one makes only its one
+        # ladder pass for all its policies (at 24 h every start stops in
+        # its first iteration, so the whole search is one stacked call)
         import cbmopt.optimizer as optimizer_module
 
         passes = []
-        per_evaluation = []
+        per_call = []
         survival = maintenance_policy.series_survival_over_times
 
         def counted_survival(*args, **kwargs):
@@ -209,37 +275,40 @@ class TestFailureCdfMemo:
 
         def counted_cost_rate(*args, **kwargs):
             before = len(passes)
-            breakdown = cost_rate(*args, **kwargs)
-            per_evaluation.append(len(passes) - before)
-            return breakdown
+            breakdowns = cost_rate(*args, **kwargs)
+            per_call.append(len(passes) - before)
+            return breakdowns
 
         monkeypatch.setattr(maintenance_policy, "series_survival_over_times", counted_survival)
         monkeypatch.setattr(optimizer_module, "cost_rate", counted_cost_rate)
         # the search that configs/table2.json ships
         config = OptimizerConfig(multistart_count=8, max_iterations=300, seed=1)
-        optimize_fixed_tau(table2_system(), self.TABLE2_COSTS, 24.0, config)
-        assert per_evaluation[0] > 1
-        assert len(per_evaluation) >= 20
-        assert per_evaluation[1:] == [1] * (len(per_evaluation) - 1)
+        result = optimize_fixed_tau(table2_system(), self.TABLE2_COSTS, 0.5, config)
+        assert per_call[0] > 1
+        assert len(per_call) >= 20
+        assert per_call[1:] == [1] * (len(per_call) - 1)
+        assert result.evaluations > len(per_call)
 
-    def test_holds_one_tau_only(self):
+    def test_holds_the_taus_of_the_latest_call(self):
         system = table2_system()
         memo = _FailureCdfMemo(system, None)
         a, b = np.array([0.5, 1.0]), np.array([2.0])
-        memo.at(1.0)(a)
-        memo.at(1.0)(b)
-        assert len(memo.held) == 2
-        memo.at(1.0)
-        assert len(memo.held) == 2
-        memo.at(2.0)(a)
-        assert memo.tau == 2.0 and list(memo.held) == [a.tobytes()]
+        at_1, at_2 = memo.lookups([1.0, 2.0])
+        at_1(a)
+        at_1(b)
+        at_2(a)
+        assert {tau: len(held) for tau, held in memo.held.items()} == {1.0: 2, 2.0: 1}
+        memo.lookups([2.0, 2.0, 3.0])
+        assert list(memo.held) == [2.0, 3.0]
+        assert list(memo.held[2.0]) == [a.tobytes()] and memo.held[3.0] == {}
 
     def test_hits_are_the_stored_read_only_pass(self):
         system = random_system(np.random.default_rng(1), 3)
         memo = _FailureCdfMemo(system, None)
         ts = np.linspace(0.1, 9.0, 15)
-        first = memo.at(5.0)(ts)
-        assert memo.at(5.0)(ts.copy()) is first
+        [lookup] = memo.lookups([5.0])
+        first = lookup(ts)
+        assert memo.lookups([5.0])[0](ts.copy()) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 0.0

@@ -119,6 +119,34 @@ class TestSeriesSurvival:
         with pytest.raises(DomainError, match="one row per threshold row"):
             series_survival_over_times(sane_system, own, h1)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_segments_are_bit_for_bit_one_call_each(self, seed):
+        # runs with their own shock-count cutoffs and mixture stops; one run
+        # holds only t = 0, where there is no mixture at all
+        system = random_system(np.random.default_rng(seed), 3)
+        rng = np.random.default_rng(seed)
+        runs = [np.array([0.0]), np.array([0.0, 5e-324, 0.3])] + [
+            np.sort(rng.uniform(0.0, scale, size))
+            for scale, size in [(1.0, 5), (80.0, 9), (8.0, 3)]
+        ]
+        levels = [[float(rng.uniform()) * v for v in system.h1_vector] for _ in runs]
+        rows = np.repeat(levels, [r.size for r in runs], axis=0)
+        times = np.concatenate(runs)
+        sizes = [r.size for r in runs]
+        stacked = series_survival_over_times(system, times[:, None], rows, segments=sizes)[:, 0]
+        singles = [
+            series_survival_over_times(system, r[:, None], np.repeat([v], r.size, axis=0))[:, 0]
+            for r, v in zip(runs, levels)
+        ]
+        assert np.array_equal(stacked, np.concatenate(singles))
+        # shared times: every row at each run's times
+        shared = series_survival_over_times(system, times, levels[:2], segments=sizes)
+        apart = [series_survival_over_times(system, r, levels[:2]) for r in runs]
+        assert np.array_equal(shared, np.concatenate(apart, axis=1))
+        for bad in ([times.size - 1], [0, times.size]):
+            with pytest.raises(DomainError, match="segments"):
+                series_survival_over_times(system, times, levels[0], segments=bad)
+
     def test_every_stacked_row_is_validated(self, sane_system):
         bad = [1.5 * c.h1 for c in sane_system.components]
         with pytest.raises(DomainError, match=r"thresholds\[0\]"):
