@@ -462,7 +462,10 @@ def cmd_simulate(
     return _report("simulate", config, outputs, warnings, started)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args leaves
+    it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="cbmopt",
         description="Condition-based maintenance analysis for degrading series systems",

@@ -288,6 +288,14 @@ def _downtime_from_ladder(
     first_round, the failure-time CDF at their nodes, so only the other
     panels and the refinement rounds ask failure_cdf for values. Intervals
     where the CDF barely rises are provably negligible and are clipped off.
+
+    Where the failure CDF at the probe tau/128 is over an eighth of its
+    value at tau, most of its rise over the first interval lies in a layer
+    near zero that one panel [0, tau] cannot see. That interval is then
+    graded by halves, with edges tau 2^-27, ..., tau/4, tau/2, so that no
+    panel spans more than a factor of 2 in t above tau 2^-27; the graded
+    panels take one failure_cdf pass, and refinement then finds the layer
+    in one or two rounds.
     """
     weights = np.diff(np.array(ladder))
     weights[-1] += 1.0 - ladder[-1]
@@ -315,11 +323,10 @@ def _downtime_from_ladder(
     for start in range(k_first, k_last + 1, chunk):
         stop = min(start + chunk - 1, k_last)
         edges = [k * tau for k in range(start - 1, stop + 1)]
-        # the CDF may rise in a thin layer far below the first epoch; its
-        # value at tau/128 decides whether to grade the mesh toward zero
-        graded = start == 1 and probe > 0.99
+        # the probe at tau/128 decides whether to grade toward zero (see above)
+        graded = start == 1 and probe > f1_at[1] / 8.0
         if graded:
-            edges = edges[:1] + [tau * 0.5**j for j in range(27, 6, -1)] + edges[1:]
+            edges = edges[:1] + [tau * 0.5**j for j in range(27, 0, -1)] + edges[1:]
         lo, hi = np.array(edges[:-1]), np.array(edges[1:])
         nodes = kronrod_nodes(lo, hi)
         # the panels that are whole intervals of the first batch are known

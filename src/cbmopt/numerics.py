@@ -1,6 +1,10 @@
 """The negligible gamma shape test and the downtime integral's adaptive
 Gauss-Kronrod quadrature.
 
+The quadrature refines by splitting each panel whose error is too large
+into 4 equal panels, not 2, and counts its budget in panels added (3 per
+split); see adaptive_integrate.
+
 Everything here is deterministic given its inputs. The gamma distribution
 is parameterized by (shape, rate) throughout: the mean of a gamma(shape,
 rate) variate is shape/rate. The gamma and normal CDFs themselves are
@@ -81,10 +85,10 @@ _GK_WEIGHTS_G[1::2] = [
 
 # the downtime expectation is consumed at Monte Carlo noise scales, so the
 # integral stops at a relative error of 1e-8 (or an absolute one of 1e-12);
-# one call splits at most _MAX_SPLITS panels in all
+# one call adds at most _MAX_NEW_PANELS panels in all
 _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
-_MAX_SPLITS = 60
+_MAX_NEW_PANELS = 60
 
 
 def kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -117,19 +121,22 @@ def _kronrod(y, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def adaptive_integrate(f: Callable, lo: np.ndarray, hi: np.ndarray, y) -> float:
     """Integrate f over the panels [lo, hi] by adaptive Gauss-Kronrod
-    bisection.
+    refinement, each round splitting every picked panel into 4 equal ones.
 
     y holds f at kronrod_nodes(lo, hi), shape (P, 15), so a caller that has
     those values from other work passes them in; f, which maps a flat
-    array of nodes to an array of the same shape, is called only on the
-    panels that refinement splits. Endpoints are never evaluated, so
-    integrable endpoint singularities are allowed. Raises IntegrationError
-    on a non-finite integrand value, when the split budget runs out before
+    array of nodes to an array of the same shape, is called once per
+    refinement round, on the panels that round adds. Four-way splits
+    resolve a thin layer in half the rounds of bisection, which pays
+    because each call of f carries a fixed cost. Endpoints are never
+    evaluated, so integrable endpoint singularities are allowed. Raises
+    IntegrationError on a non-finite integrand value, when the budget of
+    _MAX_NEW_PANELS added panels (a four-way split adds 3) runs out before
     the tolerance is met, or when the panels to split reach floating point
     resolution.
     """
     vals, errs = _kronrod(y, lo, hi)
-    budget = _MAX_SPLITS
+    budget = _MAX_NEW_PANELS
     while True:
         total = vals.sum()
         total_err = errs.sum()
@@ -137,17 +144,22 @@ def adaptive_integrate(f: Callable, lo: np.ndarray, hi: np.ndarray, y) -> float:
         if total_err <= bound:
             return float(total)
         if budget <= 0:
-            raise IntegrationError(f"tolerance not met after {_MAX_SPLITS} subdivisions")
+            raise IntegrationError(
+                f"tolerance not met after subdivisions added {_MAX_NEW_PANELS} panels"
+            )
         # split every panel whose error exceeds its fair share of the
         # budget; wide fronts cost little because evaluations are batched
         score = errs / bound
         pick = np.flatnonzero(score >= 1.0 / (2.0 * score.size))
-        pick = pick[np.argsort(score[pick])[::-1][:budget]]
+        pick = pick[np.argsort(score[pick])[::-1][: budget // 3]]
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
-        mid = 0.5 * (lo[pick] + hi[pick])
+        a, b = lo[pick], hi[pick]
+        mid = 0.5 * (a + b)
+        # the edges of each picked panel's quarters, shape (picked, 5)
+        cuts = np.stack([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b], axis=1)
         # panels already at floating point resolution cannot improve
-        splittable = (mid > lo[pick]) & (mid < hi[pick])
+        splittable = np.all(cuts[:, 1:] > cuts[:, :-1], axis=1)
         stuck = pick[~splittable]
         errs[stuck] = 0.0
         keep[stuck] = True
@@ -156,10 +168,10 @@ def adaptive_integrate(f: Callable, lo: np.ndarray, hi: np.ndarray, y) -> float:
             if errs.sum() <= bound:
                 return float(vals.sum())
             raise IntegrationError("interval refinement reached floating point resolution")
-        mid = mid[splittable]
-        new_lo = np.concatenate([lo[pick], mid])
-        new_hi = np.concatenate([mid, hi[pick]])
-        budget -= pick.size
+        cuts = cuts[splittable]
+        new_lo = cuts[:, :-1].T.ravel()
+        new_hi = cuts[:, 1:].T.ravel()
+        budget -= 3 * pick.size
         new_vals, new_errs = _kronrod(f(kronrod_nodes(new_lo, new_hi).ravel()), new_lo, new_hi)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])

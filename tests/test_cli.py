@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbmopt.cli import _bound_warning, main, parse_config
+from cbmopt.cli import _bound_warning, build_parser, main, parse_config
 from cbmopt.errors import ConfigError
 from cbmopt.simulator import SimulationConfig
 from cbmopt.system_reliability import series_survival_over_times
@@ -266,6 +266,35 @@ class TestOptimizeCommand:
             del report["outputs"]["trace_csv"]  # carries the --out path
             reports.append(report)
         assert reports[0] == reports[1]
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_commands_in_one_process_give_the_same_reports(self, tmp_path):
+        # the parser is shared between calls, so no flag of one command may
+        # reach the next; table2_tau24 is table 2 with the paper's 24 h policy
+        config = str(CONFIG_DIR / "table2_tau24.json")
+        sequence = [
+            ["optimize", "--fixed-tau", "24"],
+            ["optimize", "--multistart", "1"],
+            ["evaluate"],
+        ]
+        rounds = []
+        for run in ("a", "b"):
+            reports = []
+            for i, command in enumerate(sequence):
+                out = tmp_path / f"{run}{i}.json"
+                assert main([*command, "--config", config, "--out", str(out)]) == 0
+                report = load_json(out)
+                del report["duration_seconds"]
+                report["outputs"].pop("trace_csv", None)  # carries the --out path
+                reports.append(report)
+            rounds.append(reports)
+        assert rounds[0] == rounds[1]
+        assert rounds[0][0]["outputs"]["best_policy"]["tau"] == 24.0
+        assert rounds[0][1]["outputs"]["best_policy"]["tau"] != 24.0
 
 
 class TestBoundWarning:

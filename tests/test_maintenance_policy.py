@@ -230,13 +230,19 @@ class TestCostRate:
         b = cost_rate(system, policy, costs)
         assert (b.e_ni, b.e_rho, b.cr) == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("case, tau", [(3, 5.0), (4, 20.0), ("table2", 0.0082), ("table2", 24.0)])
+    @pytest.mark.parametrize("case, tau", [
+        (3, 5.0), (4, 20.0), (3, 100.0), (4, 100.0),
+        ("table2", 0.0082), ("table2", 1.938), ("table2", 24.0), ("table2", 30.33),
+        ("table3", 24.0),
+    ])
     def test_zero_thresholds_end_every_cycle_at_the_first_inspection(self, case, tau):
         # h2 = 0: detection is certain at tau, so e_ni = 1, e_k = tau and e_rho
         # is the failure CDF's area over [0, tau]; the QUADPACK reference
         # breaks at tau 2^-j to meet the graded layer near 0
         if case == "table2":
             system = table2_system()
+        elif case == "table3":
+            system = table3_system()
         else:
             system = random_system(np.random.default_rng(case), 3)
         b = cost_rate(system, Policy(tau=tau, h2=(0.0,) * system.n), CostParams(1.0, 1.0, 1.0))
@@ -313,6 +319,29 @@ class TestFirstBatch:
         passes = self.count_passes(monkeypatch)
         cost_rate(system, policy, CostParams(1.0, 300.0, 80.0))
         assert len(passes) == 1
+
+    @pytest.mark.parametrize(
+        "case, tau, most",
+        [
+            ("table2", 1.938, 2), ("table2", 7.667, 2), ("table2", 24.0, 2),
+            ("table2", 30.33, 2), ("table3", 24.0, 2), (3, 100.0, 3),
+        ],
+    )
+    def test_thin_failure_layer_costs_few_passes(self, monkeypatch, case, tau, most):
+        # the failure CDF rises within the first percent of the first
+        # interval; grading that interval by halves from the probe on, and
+        # refining in four-way splits, resolves the layer in at most one
+        # refinement round (two on the random system) after the ladder's pass
+        if case == "table2":
+            system = table2_system()
+        elif case == "table3":
+            system = table3_system()
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+        policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
+        passes = self.count_passes(monkeypatch)
+        cost_rate(system, policy, CostParams(1.0, 20000.0, 100.0))
+        assert len(passes) <= most
 
     @pytest.mark.parametrize(
         "case, tau, expected",

@@ -207,9 +207,38 @@ class TestAdaptiveIntegrate:
         reference, _ = quad(cdf_difference, 0.0, 12.0, epsabs=0.0, epsrel=1e-13, limit=200)
         assert integrate(cdf_difference, [0.0, 12.0]) == pytest.approx(reference, rel=1e-8)
 
+    @pytest.mark.parametrize("f, hi, most", [
+        (lambda t: special.gammainc(6.0, t), 12.0, 1),
+        (lambda t: -np.expm1(-80.0 * t), 1.0, 2),
+    ])
+    def test_four_way_splits_refine_in_few_calls(self, f, hi, most):
+        # each refinement round calls f once; splitting a panel into four
+        # resolves a rise or a thin layer in half the rounds of bisection
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        lo_, hi_ = np.array([0.0]), np.array([hi])
+        value = adaptive_integrate(counted, lo_, hi_, f(kronrod_nodes(lo_, hi_)))
+        assert 0 < len(calls) <= most
+        reference, _ = quad(f, 0.0, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert value == pytest.approx(reference, rel=1e-8)
+
     def test_exhausted_budget_raises(self):
+        added = []
+
+        def oscillating(x):
+            added.append(x.size // 15)
+            return np.sin(50.0 * x) * x**-0.5
+
         with pytest.raises(IntegrationError, match="subdivisions"):
-            integrate(lambda x: np.sin(50.0 * x) * x**-0.5, [0.0, 20.0])
+            integrate(oscillating, [0.0, 20.0])
+        # the first call is integrate's own first round on the one panel;
+        # each later one evaluates four new panels per panel it replaces
+        assert added[0] == 1 and all(n % 4 == 0 for n in added[1:])
+        assert 0 < sum(added[1:]) // 4 * 3 <= 60
 
     def test_non_finite_integrand_raises(self):
         # the first round's values are checked as well as refinement's
