@@ -379,26 +379,27 @@ def cmd_optimize(
     }
     if out_path:
         trace_path = _curve_path(out_path, "_trace")
-        header = ["iteration", "tau"] + [
-            f"h2_{i}" for i in range(config.system.n)
-        ] + ["cr"]
-        rows = list(
-            zip(
-                *[
-                    [float(i) for i in range(len(result.trace))],
-                    [p.tau for p, _ in result.trace],
-                    *[[p.h2[i] for p, _ in result.trace] for i in range(config.system.n)],
-                    [v for _, v in result.trace],
-                ]
-            )
-        )
-        _write_csv(trace_path, header, [list(col) for col in zip(*rows)] if rows else [[] for _ in header])
+        header = ["iteration", "tau"] + [f"h2_{i}" for i in range(config.system.n)] + ["cr"]
+        columns = [
+            list(range(len(result.trace))),
+            [p.tau for p, _ in result.trace],
+            *[[p.h2[i] for p, _ in result.trace] for i in range(config.system.n)],
+            [v for _, v in result.trace],
+        ]
+        _write_csv(trace_path, header, columns)
         outputs["trace_csv"] = trace_path
     warnings = [] if fixed_tau is not None else _bound_warning(result.best_policy.tau, opt.tau_bounds)
     if result.stop_reason == "f_tol" and result.iterations_used == 1:
         warnings.append(
             "the best start stopped on its f_tol test in its first iteration: the objective "
             "was already flat across its initial simplex, so the reported optimum may be arbitrary"
+        )
+    if result.stop_reason == "max_iterations":
+        # this also covers a search where no start converged
+        warnings.append(
+            f"the best start stopped on max_iterations ({opt.max_iterations}) before its x_tol "
+            f"or f_tol test held, and {result.starts_converged} of {opt.multistart_count} starts "
+            "converged: the reported optimum may not be a minimum"
         )
     return _report("optimize", config, outputs, warnings, started)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -27,7 +27,12 @@ from scipy import special
 from .errors import CbmError, DomainError, TailCapError
 from .failure_model import SystemModel, TruncationConfig
 from .numerics import adaptive_integrate, kronrod_nodes, negligible_shape
-from .system_reliability import as_thresholds, series_survival_over_times
+from .system_reliability import (
+    FailureLaw,
+    as_thresholds,
+    failure_law,
+    series_survival_over_times,
+)
 
 __all__ = [
     "CostParams",
@@ -40,12 +45,8 @@ __all__ = [
 ]
 
 # a ladder that the wear-only bound ends within this many epochs takes one
-# survival pass, which also carries the downtime integral's first
-# Gauss-Kronrod round on its intervals
+# survival pass
 _FIRST_BATCH = 16
-
-# the failure-time CDF (at the critical levels h1) at a 1-D time array
-FailureCdf = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -127,28 +128,19 @@ def _ladder_passes(model: SystemModel, policy: Policy, tail: SeriesTailConfig):
     tail drops below the cutoff, as a generator of its survival passes; it
     raises TailCapError if that never happens within the cap.
 
-    Each batch of epochs is one pass at the levels h2 and h1: the generator
-    yields the pass's times and threshold rows, in the form that
-    series_survival_over_times takes them, and is sent back 1 - survival,
-    raveled. The first batch also carries, at h1 only, the probe time
-    tau/128. Where the wear-only bound shows that the
-    ladder ends within _FIRST_BATCH epochs, the first batch holds exactly
-    those epochs, and its pass also carries the Gauss-Kronrod nodes of
-    their intervals, so that the downtime integral needs no pass of its own
-    for its first round. Otherwise the batches hold 8, 16, 32 and then 64
-    epochs, and no nodes: on a longer ladder the downtime integral's own
-    pass covers them at less cost. Returns the ladder, the failure-time CDF
-    at the same epochs, at the probe, and at the nodes carried (one row of
-    15 per interval), which _downtime_from_ladder needs.
+    Each batch of epochs is one pass at the levels h2 alone: the generator
+    yields the pass's times and the levels, and is sent back 1 - survival
+    at those times. Where the wear-only bound shows that the ladder ends within
+    _FIRST_BATCH epochs, the first batch holds exactly those epochs, so the
+    ladder takes one pass; otherwise the batches hold 8, 16, 32 and then 64
+    epochs. Returns the ladder. The failure-time CDF at the same epochs
+    comes from the model's failure law (see _downtime_from_ladder).
     """
     h2 = as_thresholds(model, policy.h2)
-    rows = np.array([h2, model.h1_vector])
     tau = policy.tau
     ladder = [0.0]
-    failure = [0.0]
     k = 0
-    end = _wear_bound_end(model, h2, tau, tail)
-    batch = end or 8
+    batch = _wear_bound_end(model, h2, tau, tail) or 8
     while True:
         if k + 1 > tail.k_max_cap:
             raise TailCapError(
@@ -156,25 +148,12 @@ def _ladder_passes(model: SystemModel, policy: Policy, tail: SeriesTailConfig):
                 f"(tail eps {tail.k_tail_eps}); the policy may never trigger"
             )
         ks = range(k + 1, min(k + batch, tail.k_max_cap) + 1)
-        epochs = np.array([j * tau for j in ks])
-        n = epochs.size
-        if k == 0:
-            # h2 and h1 at the epochs, then h1 alone at the probe and nodes
-            carried = ks if end else ks[:0]
-            lows = np.array([(j - 1) * tau for j in carried])
-            at = kronrod_nodes(lows, epochs[: len(carried)])
-            times = np.concatenate([epochs, epochs, [tau / 128.0], at.ravel()])
-            cdfs = yield times[:, None], np.repeat(rows, [n, times.size - n], axis=0)
-            probe = float(cdfs[2 * n])
-            first_round = cdfs[2 * n + 1 :].reshape(at.shape)
-        else:
-            cdfs = yield epochs, rows
-        for f_k, f1_k in zip(cdfs[:n], cdfs[n : 2 * n]):
+        cdfs = yield np.array([j * tau for j in ks]), h2
+        for f_k in cdfs:
             k += 1
             ladder.append(float(f_k))
-            failure.append(f1_k)
             if 1.0 - f_k < tail.k_tail_eps:
-                return ladder, np.array(failure), probe, first_round
+                return ladder
         batch = min(batch * 2, 64)
 
 
@@ -206,29 +185,21 @@ def _cdf_ladders(
     while asks:
         round_ = [(i, *asks.pop(i)) for i in list(asks)]
         if len(round_) == 1:
-            # a lone ladder's pass keeps its own form: shared epochs for
-            # both levels make a later batch's mixture a little cheaper
-            cdfs = [(1.0 - series_survival_over_times(model, *round_[0][2], trunc)).ravel()]
+            # a lone ladder's pass keeps its own form, which costs less than
+            # the stacked form below
+            cdfs = [1.0 - series_survival_over_times(model, *round_[0][2], trunc)]
         else:
             # one threshold row per time, and one segment per ladder, so that
             # each gets what a pass of its own gives
-            times, rows = zip(*(_as_pairs(*ask) for _, _, ask in round_))
-            sizes = [t.size for t in times]
-            survival = series_survival_over_times(
-                model, np.concatenate(times)[:, None], np.concatenate(rows), trunc, segments=sizes
-            )
+            asked = [ask for _, _, ask in round_]
+            times = np.concatenate([epochs for epochs, _ in asked])[:, None]
+            rows = np.concatenate([np.tile(h2, (epochs.size, 1)) for epochs, h2 in asked])
+            sizes = [epochs.size for epochs, _ in asked]
+            survival = series_survival_over_times(model, times, rows, trunc, segments=sizes)
             cdfs = np.split(1.0 - survival[:, 0], np.cumsum(sizes)[:-1])
         for (i, passes, _), part in zip(round_, cdfs):
             advance(i, passes, part)
     return outcomes
-
-
-def _as_pairs(times: np.ndarray, rows: np.ndarray):
-    """The times and threshold rows of a survival pass as one row per time,
-    in the order of the pass's raveled result."""
-    if times.ndim == 2:
-        return times[:, 0], rows
-    return np.tile(times, len(rows)), np.repeat(rows, times.size, axis=0)
 
 
 def _cdf_ladder(model, policy, trunc, tail):
@@ -254,53 +225,35 @@ def expected_inspections(
     tail: SeriesTailConfig | None = None,
 ) -> float:
     """Expected number of inspections in one renewal cycle."""
-    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail)[0])
+    return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail))
 
 
-def _direct_failure_cdf(model: SystemModel, trunc: TruncationConfig | None) -> FailureCdf:
-    """The failure-time CDF at a time array, one survival pass at h1 per call."""
-
-    def failure_cdf(ts):
-        return 1.0 - series_survival_over_times(model, ts, model.h1_vector, trunc)
-
-    return failure_cdf
-
-
-def _downtime_from_ladder(
-    tau: float,
-    ladder: list[float],
-    f1_at: np.ndarray,
-    probe: float,
-    first_round: np.ndarray,
-    failure_cdf: FailureCdf,
-) -> float:
+def _downtime_from_ladder(tau: float, ladder: list[float], law: FailureLaw) -> float:
     """Sum over inspection intervals of the detection mass of interval k
     (the residual tail on the last one) times the Stieltjes integral of
-    (k*tau - t) against the failure-time CDF.
+    (k*tau - t) against the failure-time CDF, which law gives at the
+    epochs, at the probe and at every quadrature node.
 
     Each interval integral is rewritten by parts as the area under the CDF
     minus a boundary term; differentiating a CDF built from truncated
     series would amplify the truncation noise. The per-interval areas are
     evaluated together as one composite integral of the weight step
     function times the CDF, with mesh breakpoints at the inspection epochs,
-    so one refinement round covers many intervals at once. The first
-    round's panels on the intervals of the ladder's first batch come from
-    first_round, the failure-time CDF at their nodes, so only the other
-    panels and the refinement rounds ask failure_cdf for values. Intervals
-    where the CDF barely rises are provably negligible and are clipped off.
+    so one refinement round covers many intervals at once. Intervals where
+    the CDF barely rises are provably negligible and are clipped off.
 
     Where the failure CDF at the probe tau/128 is over an eighth of its
     value at tau, most of its rise over the first interval lies in a layer
     near zero that one panel [0, tau] cannot see. That interval is then
     graded by halves, with edges tau 2^-27, ..., tau/4, tau/2, so that no
-    panel spans more than a factor of 2 in t above tau 2^-27; the graded
-    panels take one failure_cdf pass, and refinement then finds the layer
-    in one or two rounds.
+    panel spans more than a factor of 2 in t above tau 2^-27, and
+    refinement then finds the layer in one or two rounds.
     """
     weights = np.diff(np.array(ladder))
     weights[-1] += 1.0 - ladder[-1]
     weights = np.maximum(weights, 0.0)
     kmax = len(weights)
+    f1_at = np.concatenate([[0.0], law(np.array([k * tau for k in range(1, kmax + 1)]))])
     rises = np.diff(f1_at)
     significant = np.flatnonzero(weights * tau * rises >= 1e-13 * tau)
     if significant.size == 0:
@@ -308,39 +261,22 @@ def _downtime_from_ladder(
     k_first = int(significant[0]) + 1
     k_last = int(significant[-1]) + 1
 
-    def weighted(ts, cdf):
-        k_of_t = np.minimum((ts / tau).astype(int), kmax - 1)
-        return weights[k_of_t] * cdf
-
     def weighted_cdf(ts):
-        return weighted(ts, failure_cdf(ts))
+        k_of_t = np.minimum((ts / tau).astype(int), kmax - 1)
+        return weights[k_of_t] * law(ts)
 
-    boundary = float(
-        np.sum(weights[k_first - 1 : k_last] * f1_at[k_first - 1 : k_last])
-    )
+    boundary = float(np.sum(weights[k_first - 1 : k_last] * f1_at[k_first - 1 : k_last]))
     area = 0.0
     chunk = 256
     for start in range(k_first, k_last + 1, chunk):
         stop = min(start + chunk - 1, k_last)
         edges = [k * tau for k in range(start - 1, stop + 1)]
         # the probe at tau/128 decides whether to grade toward zero (see above)
-        graded = start == 1 and probe > f1_at[1] / 8.0
-        if graded:
+        if start == 1 and law(np.array([tau / 128.0]))[0] > f1_at[1] / 8.0:
             edges = edges[:1] + [tau * 0.5**j for j in range(27, 0, -1)] + edges[1:]
         lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-        nodes = kronrod_nodes(lo, hi)
-        # the panels that are whole intervals of the first batch are known
-        known = np.zeros(lo.size, dtype=bool)
-        whole = start + graded  # the first interval that is one panel
-        count = max(min(stop, len(first_round)) - whole + 1, 0)
-        skip = lo.size - (stop - whole + 1)  # the graded panels
-        known[skip : skip + count] = True
-        cdf = np.empty(nodes.shape)
-        cdf[known] = first_round[whole - 1 : whole - 1 + count]
-        if not known.all():
-            cdf[~known] = failure_cdf(nodes[~known].ravel()).reshape(-1, nodes.shape[1])
         # called through this module's name, which perfbench/tracing.py wraps
-        area += adaptive_integrate(weighted_cdf, lo, hi, weighted(nodes, cdf))
+        area += adaptive_integrate(weighted_cdf, lo, hi, weighted_cdf(kronrod_nodes(lo, hi)))
     return max(area - tau * boundary, 0.0)
 
 
@@ -352,8 +288,8 @@ def expected_downtime(
 ) -> float:
     """Expected downtime per cycle from the literal closed-form expression
     (see the module docstring for its caveat)."""
-    ladder, *rest = _cdf_ladder(model, policy, trunc, tail)
-    return _downtime_from_ladder(policy.tau, ladder, *rest, _direct_failure_cdf(model, trunc))
+    ladder = _cdf_ladder(model, policy, trunc, tail)
+    return _downtime_from_ladder(policy.tau, ladder, failure_law(model, trunc))
 
 
 def _breakdowns(
@@ -362,7 +298,6 @@ def _breakdowns(
     costs: CostParams,
     trunc: TruncationConfig | None,
     tail: SeriesTailConfig | None,
-    failure_cdfs: list[FailureCdf],
 ) -> list:
     """Per policy its CostBreakdown or the CbmError it raised; a stacked
     pass that raises is made again one policy at a time."""
@@ -374,20 +309,20 @@ def _breakdowns(
         # a cap that one policy reaches fails the pass of all of them
         return [
             outcome
-            for policy, failure_cdf in zip(policies, failure_cdfs)
-            for outcome in _breakdowns(model, [policy], costs, trunc, tail, [failure_cdf])
+            for policy in policies
+            for outcome in _breakdowns(model, [policy], costs, trunc, tail)
         ]
     outcomes = []
-    for policy, ladder, failure_cdf in zip(policies, ladders, failure_cdfs):
+    for policy, ladder in zip(policies, ladders):
         if isinstance(ladder, CbmError):
             outcomes.append(ladder)
             continue
         try:
-            e_rho = _downtime_from_ladder(policy.tau, *ladder, failure_cdf)
+            e_rho = _downtime_from_ladder(policy.tau, ladder, failure_law(model, trunc))
         except CbmError as error:
             outcomes.append(error)
             continue
-        e_ni = _inspections_from_ladder(ladder[0])
+        e_ni = _inspections_from_ladder(ladder)
         e_k = policy.tau * e_ni
         e_tc = costs.c_i * e_ni + costs.c_rho * e_rho + costs.c_r
         outcomes.append(CostBreakdown(e_ni=e_ni, e_rho=e_rho, e_k=e_k, e_tc=e_tc, cr=e_tc / e_k))
@@ -400,21 +335,17 @@ def cost_rate(
     costs: CostParams,
     trunc: TruncationConfig | None = None,
     tail: SeriesTailConfig | None = None,
-    *,
-    failure_cdf: FailureCdf | Sequence[FailureCdf] | None = None,
 ):
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
-    E[N_I] and E[rho] share one ladder of detection- and failure-CDF values.
-    The downtime integral's further failure-CDF values come from
-    failure_cdf, a callable of a 1-D time array that must return what
-    1 - series_survival_over_times(model, ts, model.h1_vector, trunc)
-    returns; by default it is that survival pass. A caller that evaluates
-    many policies at one tau, such as the optimizer, passes a memo of
-    those passes instead.
+    E[N_I] and E[rho] share one ladder of detection-CDF values, built in
+    survival passes at the levels h2 alone. Every failure-CDF value, at
+    the epochs and in the downtime integral, comes from the model's
+    failure law (see system_reliability.failure_law), which the first call
+    on a model builds and later calls reuse; so a call on a model whose
+    law is built makes only its ladder's passes.
 
-    policy may also be a sequence of policies, with failure_cdf then a
-    sequence of one callable per policy (or None). Their ladders are built
+    policy may also be a sequence of policies. Their ladders are built
     together, each round one survival pass over the next batch of every
     ladder still open, while each downtime integral stays with its own
     policy. Each ladder is one segment of the pass (see
@@ -424,24 +355,9 @@ def cost_rate(
     CbmError it raised. A series cap that one policy reaches fails the
     whole pass; the policies are then evaluated again one at a time.
     """
-    # the ladder's first pass keeps its h1 rows even where failure_cdf could
-    # supply them: without them the h2 row's mixture loop would stop at
-    # another term, changing the last bits, and where the fixed-tau
-    # objective is flat to the ulp (table 2 at 24 h and 120 h) the reported
-    # h2 would flip
     if isinstance(policy, Policy):
-        [outcome] = _breakdowns(
-            model, [policy], costs, trunc, tail, [failure_cdf or _direct_failure_cdf(model, trunc)]
-        )
+        [outcome] = _breakdowns(model, [policy], costs, trunc, tail)
         if isinstance(outcome, CbmError):
             raise outcome
         return outcome
-    policies = list(policy)
-    failure_cdfs = [_direct_failure_cdf(model, trunc)] * len(policies)
-    if failure_cdf is not None:
-        failure_cdfs = list(failure_cdf)
-        if len(failure_cdfs) != len(policies):
-            raise DomainError(
-                f"failure_cdf has {len(failure_cdfs)} callables for {len(policies)} policies"
-            )
-    return _breakdowns(model, policies, costs, trunc, tail, failure_cdfs)
+    return _breakdowns(model, list(policy), costs, trunc, tail)

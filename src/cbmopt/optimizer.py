@@ -22,19 +22,14 @@ shrink's vertices), and each round the points that every live start asks
 for, less those already evaluated, go to cost_rate as one stacked call.
 A stacked call builds all their ladders in shared survival passes and
 gives each policy bit for bit what a single call gives, so every start
-makes the decisions it would make alone.
-
-The failure-time CDF does not depend on the thresholds, and at one
-inspection interval the downtime integral asks for it at the same time
-arrays again and again. Each search therefore keeps one memo of those
-passes for the taus of its latest stacked call (see _FailureCdfMemo): a
-fixed-tau search makes each pass once, and so do the vertices of a joint
-search's initial simplices that share tau.
+makes the decisions it would make alone. The failure-time CDF depends on
+the model alone, so cost_rate reads it from the model's failure law, which
+a search builds at most once; each stacked call then makes only its
+ladders' survival passes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,7 +43,6 @@ from .maintenance_policy import (
     CostParams,
     Policy,
     SeriesTailConfig,
-    _direct_failure_cdf,
     cost_rate,
 )
 
@@ -57,7 +51,6 @@ __all__ = [
     "OptimizationResult",
     "optimize_policy",
     "optimize_fixed_tau",
-    "minimize_multistart",
 ]
 
 _LHS_BLOCK = 8
@@ -239,23 +232,6 @@ def _lockstep(evaluate, starts, config: OptimizerConfig):
     return (*min(finite, key=lambda result: result[1]), converged)
 
 
-def minimize_multistart(objective, dim, config: OptimizerConfig, starts=None):
-    """Multistart projected Nelder-Mead in the unit cube.
-
-    objective maps a point of [0, 1]^dim to a float; non-finite values mark
-    infeasible evaluations. The starts run in lockstep (see _lockstep).
-    Returns (best x, best f, best trace, iterations of the best start,
-    converged-start count). Raises AllStartsFailedError when no start sees
-    a finite value.
-    """
-    if starts is None:
-        starts = _lhs_starts(config.seed, config.multistart_count, dim)
-    x, fx, trace, iterations, _, converged = _lockstep(
-        lambda points: [objective(z) for z in points], starts, config
-    )
-    return x, fx, trace, iterations, converged
-
-
 class _PolicyCodec:
     """Maps points of the unit cube to feasible policies and back.
 
@@ -284,39 +260,8 @@ class _PolicyCodec:
         return Policy(tau=tau, h2=h2)
 
 
-class _FailureCdfMemo:
-    """The failure-time CDF passes of one search, for the taus of its
-    latest stacked call.
-
-    lookups(taus) gives the callables that a stacked cost_rate takes as
-    failure_cdf, one per tau, and drops the passes held for every other
-    tau. A request is keyed by its tau and its whole 1-D time array: the
-    same array in gives the same pass out, so a hit is bit-identical to a
-    fresh pass. Held arrays are read-only, since every hit hands out the
-    same one.
-    """
-
-    def __init__(self, model: SystemModel, trunc: TruncationConfig | None):
-        self._direct = _direct_failure_cdf(model, trunc)
-        self.held: dict[float, dict[bytes, np.ndarray]] = {}
-
-    def lookups(self, taus) -> list:
-        self.held = {tau: self.held.get(tau, {}) for tau in taus}
-        return [functools.partial(self._lookup, self.held[tau]) for tau in taus]
-
-    def _lookup(self, held: dict[bytes, np.ndarray], ts: np.ndarray) -> np.ndarray:
-        key = ts.tobytes()
-        cdf = held.get(key)
-        if cdf is None:
-            cdf = self._direct(ts)
-            cdf.flags.writeable = False
-            held[key] = cdf
-        return cdf
-
-
 def _search(model, costs, config, trunc, tail, fixed_tau):
     codec = _PolicyCodec(model, config, fixed_tau)
-    memo = _FailureCdfMemo(model, trunc)
     # per evaluated point its breakdown or the CbmError it raised; the
     # simplex can revisit a point, and the best point is always one
     # already evaluated
@@ -331,10 +276,7 @@ def _search(model, costs, config, trunc, tail, fixed_tau):
         if fresh:
             policies = list(fresh.values())
             # called through this module's name, which perfbench/tracing.py wraps
-            outcomes = cost_rate(
-                model, policies, costs, trunc, tail,
-                failure_cdf=memo.lookups([policy.tau for policy in policies]),
-            )
+            outcomes = cost_rate(model, policies, costs, trunc, tail)
             evaluated.update(zip(fresh, outcomes))
         return [
             breakdown.cr if isinstance(breakdown, CostBreakdown) else math.inf

@@ -7,14 +7,23 @@ whose complement is the detection-time CDF. Stacked threshold rows give
 several laws in one call. All components share the same shock count, so
 conditioning on it makes them independent and turns the system
 probability into a product inside the shock-count sum.
+
+The failure-time CDF depends on the model alone, not on a policy, so
+failure_law builds it once per model as a piecewise-Chebyshev interpolant
+(Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
+chapters 3 and 19) and caches it; every consumer of F_f reads it there.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-from .errors import DomainError
+import numpy as np
+from scipy import special
+
+from .errors import DomainError, TruncationCapError
 from .failure_model import (
+    DEFAULT_TRUNCATION,
     SystemModel,
     TruncationConfig,
     poisson_weights,
@@ -22,7 +31,7 @@ from .failure_model import (
     threshold_cdf_block,
 )
 
-__all__ = ["series_survival_over_times"]
+__all__ = ["series_survival_over_times", "FailureLaw", "failure_law"]
 
 
 def as_thresholds(model: SystemModel, thresholds) -> tuple[float, ...]:
@@ -118,3 +127,133 @@ def series_survival_over_times(
         factors = factors * survive_powers.reshape((-1,) + ones + (1,)) * block
     return np.clip(factors.sum(axis=0), 0.0, 1.0).reshape(shape)
 
+
+# The failure law's panels: [0, T 2^-40], [T 2^-40, T 2^-39], ..., [T/2, T],
+# each interpolated at _LAW_POINTS Chebyshev points of the first kind; a
+# panel is halved, up to _LAW_DEPTH times, while any of its last _LAW_TRAIL
+# coefficients exceeds _LAW_CHOP (Aurentz & Trefethen, "Chopping a Chebyshev
+# series", ACM TOMS 43, 2017). Beyond the horizon T, where the survival is
+# below _LAW_TAIL, F_f is 1.
+_LAW_POINTS = 24
+_LAW_GRADING = 40
+_LAW_TRAIL = 4
+_LAW_CHOP = 1e-14
+_LAW_DEPTH = 20
+_LAW_TAIL = 1e-17
+_ANGLES = np.pi * (np.arange(_LAW_POINTS) + 0.5) / _LAW_POINTS
+_CHEB_X = np.cos(_ANGLES)
+# values at _CHEB_X to Chebyshev coefficients, by discrete orthogonality
+_TO_COEFFS = 2.0 / _LAW_POINTS * np.cos(np.outer(np.arange(_LAW_POINTS), _ANGLES))
+_TO_COEFFS[0] /= 2.0
+
+
+class FailureLaw:
+    """The failure-time CDF F_f(t) = 1 - S(t; h1) of one model and
+    truncation rule, as a piecewise-Chebyshev interpolant; call it on a time
+    array.
+
+    Each refinement level evaluates its new panels' points in one survival
+    pass, which also carries the horizon so that every level takes the
+    shock-count cutoff there. The law agrees with direct passes to about
+    1e-14, and since it is built whole, its values depend on the model,
+    the truncation rule and the times alone.
+
+    Where the shock series cannot reach a horizon within its term cap, the
+    law ends at the latest time it can reach (complete is then False), and
+    asking for a later time raises the TruncationCapError that a direct
+    pass there raises.
+    """
+
+    def __init__(self, model: SystemModel, trunc: TruncationConfig):
+        self.model, self.trunc = model, trunc
+        self.horizon, self.complete = _law_horizon(model, trunc)
+        top = self.horizon
+        edges = np.concatenate([[0.0], top * 0.5 ** np.arange(_LAW_GRADING, -1, -1)])
+        lo, hi = edges[:-1], edges[1:]
+        kept = []
+        for depth in range(_LAW_DEPTH + 1):
+            points = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _CHEB_X
+            survival = series_survival_over_times(
+                model, np.append(points.ravel(), top), model.h1_vector, trunc
+            )
+            coeffs = (1.0 - survival[:-1]).reshape(points.shape) @ _TO_COEFFS.T
+            trail = np.abs(coeffs[:, -_LAW_TRAIL:]).max(axis=1)
+            done = (trail <= _LAW_CHOP) | (depth == _LAW_DEPTH)
+            kept.append((lo[done], coeffs[done]))
+            mid = 0.5 * (lo + hi)[~done]
+            lo, hi = np.concatenate([lo[~done], mid]), np.concatenate([mid, hi[~done]])
+            if lo.size == 0:
+                break
+        starts = np.concatenate([part[0] for part in kept])
+        order = np.argsort(starts)
+        self.edges = np.append(starts[order], top)
+        # one column per panel, so that a gather gives one row per degree
+        self.coeffs = np.concatenate([part[1] for part in kept])[order].T.copy()
+
+    def __call__(self, times) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        if not self.complete and t.size and t.max() > self.horizon:
+            poisson_weights(self.model.lam * float(t.max()), self.trunc)
+            raise TruncationCapError(f"the failure law ends at t = {self.horizon}")
+        panel = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
+        lo, hi = self.edges[panel], self.edges[panel + 1]
+        x2 = 2.0 * np.clip((2.0 * t - lo - hi) / (hi - lo), -1.0, 1.0)
+        # Clenshaw's recurrence, one step per coefficient for every time
+        c = self.coeffs[:, panel]
+        b1, b2 = c[-1], 0.0
+        for c_k in c[-2:0:-1]:
+            b1, b2 = c_k + x2 * b1 - b2, b1
+        cdf = np.clip(c[0] + 0.5 * x2 * b1 - b2, 0.0, 1.0)
+        return np.where(t >= self.horizon, 1.0, cdf) if self.complete else cdf
+
+
+def _law_horizon(model: SystemModel, trunc: TruncationConfig) -> tuple[float, bool]:
+    """The failure law's horizon T, and whether the survival at T is below
+    _LAW_TAIL.
+
+    Degradation is at least the wear, so the survival is at most the
+    wear-only bound prod_i P(wear_i(t) <= h1_i). The first t = ts 2^j (ts
+    the shortest wear timescale) where that bound is below _LAW_TAIL, or
+    the latest time within the shock series' term cap if that comes first,
+    starts the search; one survival pass at t 2^-j, j = 0..8, then gives
+    the earliest of those times where the survival is below _LAW_TAIL.
+    """
+    comps = model.components
+    t = min(c.h1 * c.beta / c.alpha for c in comps)
+    while np.prod([special.gammainc(c.alpha * t, c.beta * c.h1) for c in comps]) >= _LAW_TAIL:
+        t *= 2.0
+    t = _shock_cap_time(model, trunc, t)
+    candidates = t * 0.5 ** np.arange(8, -1, -1)
+    below = np.flatnonzero(
+        series_survival_over_times(model, candidates, model.h1_vector, trunc) < _LAW_TAIL
+    )
+    return (float(candidates[below[0]]), True) if below.size else (t, False)
+
+
+def _shock_cap_time(model: SystemModel, trunc: TruncationConfig, t: float) -> float:
+    """t, or by bisection the latest earlier time whose shock-count series
+    fits within the term cap."""
+
+    def fits(time):
+        try:
+            return bool(poisson_weights(model.lam * time, trunc))
+        except TruncationCapError:
+            return False
+
+    if fits(t):
+        return t
+    lo, hi = 0.0, t
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_law(model: SystemModel, trunc: TruncationConfig) -> FailureLaw:
+    return FailureLaw(model, trunc)
+
+
+def failure_law(model: SystemModel, trunc: TruncationConfig | None = None) -> FailureLaw:
+    """The FailureLaw of a model, built on first use and cached by value."""
+    return _cached_law(model, trunc or DEFAULT_TRUNCATION)

@@ -43,7 +43,8 @@ from cbmopt.maintenance_policy import (
 from cbmopt.optimizer import (
     OptimizerConfig,
     _PolicyCodec,
-    minimize_multistart,
+    _lhs_starts,
+    _lockstep,
     optimize_fixed_tau,
     optimize_policy,
 )
@@ -291,6 +292,7 @@ def test_criterion_3_benchmark_reproduction_attempt(report_dir):
                 "h2_max_rel_deviation": h2_dev,
                 "within_tolerance": within,
                 "starts_converged": outcome.starts_converged,
+                "stop_reason": outcome.stop_reason,
             }
         )
 
@@ -350,7 +352,12 @@ def test_criterion_4_optimizer_sanity():
         policy = codec.decode(np.asarray(z))
         return (policy.tau - 50.0) ** 2 + (policy.h2[0] - h_target) ** 2
 
-    x, fx, trace, _, _ = minimize_multistart(synthetic, codec.dim, config)
+    def multistart(config):
+        # every start of the configured stream, run in lockstep
+        starts = _lhs_starts(config.seed, config.multistart_count, codec.dim)
+        return _lockstep(lambda points: [synthetic(z) for z in points], starts, config)
+
+    x, fx, trace, *_ = multistart(config)
     best = codec.decode(x)
     assert abs(best.tau - 50.0) / 50.0 < 1e-4
     assert abs(best.h2[0] - h_target) / h_target < 1e-4
@@ -365,10 +372,10 @@ def test_criterion_4_optimizer_sanity():
             multistart_count=8, max_iterations=300, x_tol=1e-7, f_tol=1e-15,
             tau_bounds=(1e-3, 1e4), seed=seed,
         )
-        first = minimize_multistart(synthetic, codec.dim, base)
-        second = minimize_multistart(synthetic, codec.dim, base)
+        first = multistart(base)
+        second = multistart(base)
         assert np.array_equal(first[0], second[0]) and first[1] == second[1]
-        wider = minimize_multistart(synthetic, codec.dim, more)
+        wider = multistart(more)
         assert wider[1] <= first[1] + 1e-12
 
     elapsed = time.time() - started

@@ -249,7 +249,12 @@ class TestOptimizeCommand:
         assert report["outputs"]["best_policy"]["tau"] == 6.0
         trace = Path(report["outputs"]["trace_csv"]).read_text().splitlines()
         assert trace[0] == "iteration,tau,h2_0,h2_1,cr"
-        assert len(trace) > 1
+        assert len(trace) == report["outputs"]["trace_length"] + 1 > 1
+        # one row per iteration, each value as repr of its float
+        for i, line in enumerate(trace[1:]):
+            fields = line.split(",")
+            assert fields[:2] == [repr(float(i)), "6.0"]
+            assert all(repr(float(v)) == v for v in fields)
 
     def test_seeded_runs_are_identical_modulo_duration(self, tmp_path):
         config_path = write_config(tmp_path, small_config())
@@ -324,10 +329,15 @@ class TestBoundWarning:
         assert "lower tau bound 150" in warning
 
     def test_interior_optimum_is_not_flagged(self, tmp_path):
+        # the one start runs out of its 20 iterations, which is the report's
+        # only warning
         report = self.run(tmp_path, [0.5, 100.0])
         tau = report["outputs"]["best_policy"]["tau"]
         assert math.log(tau / 0.5) > 0.01 * math.log(200.0)
-        assert report["warnings"] == []
+        assert report["warnings"] == [
+            "the best start stopped on max_iterations (20) before its x_tol or f_tol test "
+            "held, and 0 of 1 starts converged: the reported optimum may not be a minimum"
+        ]
 
     def test_margin_is_one_percent_of_the_log_range_at_either_end(self):
         # log(1e4 / 1e-3) = 16.1, so the margin is a factor of 1.175

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from cbmopt import maintenance_policy
+from cbmopt import maintenance_policy, system_reliability
 from cbmopt.errors import CbmError, DomainError, TailCapError, TruncationCapError
 from cbmopt.failure_model import SystemModel, TruncationConfig
 from cbmopt.maintenance_policy import (
@@ -30,7 +30,7 @@ from cbmopt.maintenance_policy import (
     expected_inspections,
 )
 from cbmopt.simulator import SimulationConfig, simulate_many
-from cbmopt.system_reliability import series_survival_over_times
+from cbmopt.system_reliability import failure_law, series_survival_over_times
 
 from conftest import random_system, table2_system, table3_system
 
@@ -295,28 +295,41 @@ class TestCostRate:
             assert len(calls) > before
 
 
-class TestFirstBatch:
-    @staticmethod
-    def count_passes(monkeypatch):
-        passes = []
-        survival = maintenance_policy.series_survival_over_times
+def count_passes(monkeypatch):
+    """Count the survival passes of the ladders (through maintenance_policy's
+    name) and of the failure law (through system_reliability's)."""
+    passes = []
+    for module in (maintenance_policy, system_reliability):
 
-        def counted(*args, **kwargs):
+        def counted(*args, survival=module.series_survival_over_times, **kwargs):
             passes.append(1)
             return survival(*args, **kwargs)
 
-        monkeypatch.setattr(maintenance_policy, "series_survival_over_times", counted)
-        return passes
+        monkeypatch.setattr(module, "series_survival_over_times", counted)
+    return passes
 
+
+@pytest.fixture
+def cold_law():
+    """No failure law built yet, so that no pass count depends on which
+    tests ran before."""
+    system_reliability._cached_law.cache_clear()
+    yield
+    system_reliability._cached_law.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_law")
+class TestFirstBatch:
     @pytest.mark.parametrize("seed, n, tau", [(3, 3, 1.0), (1, 3, 5.0), (3, 3, 5.0)])
     def test_short_ladder_costs_one_survival_pass(self, monkeypatch, seed, n, tau):
-        # the ladder (3 to 12 epochs) fits the first batch, whose pass also
-        # carries the downtime integral's first Gauss-Kronrod round
+        # the ladder (3 to 12 epochs) fits the first batch, and once the
+        # model's failure law is built the downtime integral makes no pass
         system = random_system(np.random.default_rng(seed), n)
         policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
         end = _wear_bound_end(system, policy.h2, tau, DEFAULT_TAIL)
-        assert end is not None and len(_cdf_ladder(system, policy, None, None)[0]) - 1 <= end
-        passes = self.count_passes(monkeypatch)
+        assert end is not None and len(_cdf_ladder(system, policy, None, None)) - 1 <= end
+        failure_law(system)
+        passes = count_passes(monkeypatch)
         cost_rate(system, policy, CostParams(1.0, 300.0, 80.0))
         assert len(passes) == 1
 
@@ -329,9 +342,8 @@ class TestFirstBatch:
     )
     def test_thin_failure_layer_costs_few_passes(self, monkeypatch, case, tau, most):
         # the failure CDF rises within the first percent of the first
-        # interval; grading that interval by halves from the probe on, and
-        # refining in four-way splits, resolves the layer in at most one
-        # refinement round (two on the random system) after the ladder's pass
+        # interval; the graded panels and their refinement read the failure
+        # law, so a warm call makes exactly its ladder's passes
         if case == "table2":
             system = table2_system()
         elif case == "table3":
@@ -339,9 +351,43 @@ class TestFirstBatch:
         else:
             system = random_system(np.random.default_rng(case), 3)
         policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
-        passes = self.count_passes(monkeypatch)
+        failure_law(system)
+        passes = count_passes(monkeypatch)
+        expected_inspections(system, policy)
+        ladder = len(passes)
         cost_rate(system, policy, CostParams(1.0, 20000.0, 100.0))
-        assert len(passes) <= most
+        assert len(passes) - ladder == ladder <= most
+
+    @pytest.mark.parametrize("case, tau", [("table2", 0.0082), ("table3", 24.0), (1, 5.0), (4, 0.3)])
+    def test_cold_call_builds_the_law_once(self, monkeypatch, case, tau):
+        # the first call on a model adds the law's passes to its ladder's;
+        # the next call, on another policy, makes only its ladder's passes
+        if case == "table2":
+            system = table2_system()
+        elif case == "table3":
+            system = table3_system()
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+        policies = [
+            Policy(tau=tau, h2=tuple(f * c.h1 for c in system.components)) for f in (0.5, 0.6)
+        ]
+        costs = CostParams(1.0, 300.0, 80.0)
+        passes = count_passes(monkeypatch)
+        ladders = []
+        for policy in policies:
+            before = len(passes)
+            expected_inspections(system, policy)
+            ladders.append(len(passes) - before)
+        assert system_reliability._cached_law.cache_info().currsize == 0
+        before = len(passes)
+        cost_rate(system, policies[0], costs)
+        cold = len(passes) - before
+        before = len(passes)
+        cost_rate(system, policies[1], costs)
+        assert len(passes) - before == ladders[1]
+        assert cold > ladders[0]
+        info = system_reliability._cached_law.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize(
         "case, tau, expected",
@@ -465,8 +511,22 @@ class TestStackedCostRate:
             cost_rate(system, policy, costs, tail=SeriesTailConfig(k_max_cap=50))
         [entry] = cost_rate(system, [policy], costs, tail=SeriesTailConfig(k_max_cap=50))
         assert isinstance(entry, TailCapError)
-        with pytest.raises(DomainError, match="1 callables for 2 policies"):
-            cost_rate(system, [policy, policy], costs, failure_cdf=[None])
+
+
+@pytest.mark.parametrize("case", ["table2", 3])
+def test_breakdowns_do_not_depend_on_call_order(cold_law, case):
+    # every failure-CDF value comes from a law built whole on first use, so
+    # a cold start with policy A then B gives B what a cold start with B gives
+    if case == "table2":
+        system, costs, taus = table2_system(), CostParams(1.0, 20000.0, 100.0), (0.0082, 24.0)
+    else:
+        system = random_system(np.random.default_rng(case), 3)
+        costs, taus = CostParams(1.0, 300.0, 80.0), (0.3, 100.0)
+    a, b = (Policy(tau=tau, h2=tuple(0.6 * h for h in system.h1_vector)) for tau in taus)
+    forward = [cost_rate(system, policy, costs) for policy in (a, b)]
+    system_reliability._cached_law.cache_clear()
+    backward = [cost_rate(system, policy, costs) for policy in (b, a)]
+    assert forward == backward[::-1]
 
 
 @given(
@@ -481,7 +541,7 @@ def test_ladder_never_outlasts_the_wear_only_bound(seed, n, tau, frac):
     policy = Policy(tau=tau, h2=tuple(frac * c.h1 for c in system.components))
     end = _wear_bound_end(system, policy.h2, tau, DEFAULT_TAIL)
     try:
-        ladder = _cdf_ladder(system, policy, None, None)[0]
+        ladder = _cdf_ladder(system, policy, None, None)
     except TailCapError:
         assert end is None
         return

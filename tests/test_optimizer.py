@@ -9,19 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from cbmopt import maintenance_policy
+from cbmopt import maintenance_policy, system_reliability
 from cbmopt.errors import AllStartsFailedError, DomainError
 from cbmopt.failure_model import SystemModel
 from cbmopt.maintenance_policy import CostParams, Policy, cost_rate
 from cbmopt.optimizer import (
     OptimizerConfig,
-    _FailureCdfMemo,
     _lhs_starts,
-    minimize_multistart,
+    _lockstep,
     optimize_fixed_tau,
     optimize_policy,
 )
-from cbmopt.system_reliability import series_survival_over_times
+from cbmopt.system_reliability import failure_law
 
 from conftest import random_system, table2_system
 
@@ -35,12 +34,19 @@ def quadratic(center):
     return f
 
 
+def multistart(objective, dim, config, starts=None):
+    """_lockstep on a scalar objective, from the configured Latin-hypercube
+    starts unless others are given: (best x, best f, trace, iterations of
+    the best start, its stop reason, converged-start count)."""
+    if starts is None:
+        starts = _lhs_starts(config.seed, config.multistart_count, dim)
+    return _lockstep(lambda points: [objective(z) for z in points], starts, config)
+
+
 class TestMinimizeMultistart:
     def test_recovers_known_minimum(self):
         config = OptimizerConfig(multistart_count=8, max_iterations=400, seed=3)
-        x, fx, trace, iterations, converged = minimize_multistart(
-            quadratic([0.62, 0.31]), 2, config
-        )
+        x, fx, trace, iterations, _, converged = multistart(quadratic([0.62, 0.31]), 2, config)
         assert np.allclose(x, [0.62, 0.31], atol=1e-4)
         assert fx < 1e-7
         assert converged >= 1
@@ -48,19 +54,19 @@ class TestMinimizeMultistart:
 
     def test_boundary_minimum_is_reachable(self):
         config = OptimizerConfig(multistart_count=8, max_iterations=400, seed=1)
-        x, fx, *_ = minimize_multistart(quadratic([1.2, 0.5]), 2, config)
+        x, fx, *_ = multistart(quadratic([1.2, 0.5]), 2, config)
         assert x[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_trace_is_monotone_and_dominates_result(self):
         config = OptimizerConfig(multistart_count=4, max_iterations=300, seed=9)
-        x, fx, trace, *_ = minimize_multistart(quadratic([0.4, 0.7, 0.2]), 3, config)
+        x, fx, trace, *_ = multistart(quadratic([0.4, 0.7, 0.2]), 3, config)
         values = [v for _, v in trace]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
         assert fx <= values[0]
 
     def test_determinism(self):
         config = OptimizerConfig(multistart_count=6, max_iterations=200, seed=11)
-        runs = [minimize_multistart(quadratic([0.3, 0.9]), 2, config) for _ in range(2)]
+        runs = [multistart(quadratic([0.3, 0.9]), 2, config) for _ in range(2)]
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
@@ -75,14 +81,14 @@ class TestMinimizeMultistart:
         for seed in range(5):
             base = OptimizerConfig(multistart_count=4, max_iterations=300, seed=seed)
             more = OptimizerConfig(multistart_count=16, max_iterations=300, seed=seed)
-            _, f_base, *_ = minimize_multistart(bumpy, 2, base)
-            _, f_more, *_ = minimize_multistart(bumpy, 2, more)
+            _, f_base, *_ = multistart(bumpy, 2, base)
+            _, f_more, *_ = multistart(bumpy, 2, more)
             assert f_more <= f_base + 1e-12
 
     def test_all_starts_failed(self):
         config = OptimizerConfig(multistart_count=4, max_iterations=50, seed=0)
         with pytest.raises(AllStartsFailedError):
-            minimize_multistart(lambda z: math.inf, 2, config)
+            multistart(lambda z: math.inf, 2, config)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -101,14 +107,14 @@ class TestMinimizeMultistart:
 
         config = OptimizerConfig(multistart_count=6, max_iterations=200, seed=2)
         starts = _lhs_starts(config.seed, config.multistart_count, 2)
-        together = minimize_multistart(bumpy, 2, config, starts=starts)
-        alone = [minimize_multistart(bumpy, 2, config, starts=[x0]) for x0 in starts]
+        together = multistart(bumpy, 2, config, starts=starts)
+        alone = [multistart(bumpy, 2, config, starts=[x0]) for x0 in starts]
         first_best = min(range(len(alone)), key=lambda i: alone[i][1])
-        x, fx, trace, iterations, _ = alone[first_best]
+        x, fx, trace, iterations, reason, _ = alone[first_best]
         assert np.array_equal(together[0], x) and together[1] == fx
-        assert together[3] == iterations
+        assert together[3] == iterations and together[4] == reason
         assert [(list(z), f) for z, f in together[2]] == [(list(z), f) for z, f in trace]
-        assert together[4] == sum(run[4] for run in alone)
+        assert together[5] == sum(run[5] for run in alone)
 
 
 @pytest.fixture(scope="module")
@@ -240,15 +246,25 @@ class TestPolicyOptimization:
         assert 0 < len(passes) < result.evaluations
 
 
-class TestFailureCdfMemo:
+@pytest.fixture
+def cold_law():
+    """No failure law built yet, so that no pass count depends on which
+    tests ran before."""
+    system_reliability._cached_law.cache_clear()
+    yield
+    system_reliability._cached_law.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_law")
+class TestFailureLawInSearch:
     TABLE2_COSTS = CostParams(c_i=1.0, c_rho=20000.0, c_r=100.0)
 
     @pytest.mark.parametrize("case, tau", [
         ("table2", 24.0), ("table2", 0.01), (1, 1.0), (1, 20.0),
     ])
     def test_fixed_tau_best_matches_a_fresh_evaluation(self, case, tau):
-        # the search's breakdown came through the memo, the fresh one from
-        # direct survival passes; a hit must be the very pass it stands for
+        # the search's breakdown came out of a stacked call, the fresh one
+        # out of a single call on the same law
         if case == "table2":
             system, costs = table2_system(), self.TABLE2_COSTS
         else:
@@ -259,19 +275,20 @@ class TestFailureCdfMemo:
         assert result.best_breakdown == cost_rate(system, result.best_policy, costs)
 
     def test_later_evaluations_make_one_survival_pass(self, monkeypatch):
-        # table 2 at 0.5 h: the first stacked call refines the failure CDF's
-        # area in several passes; every later one makes only its one
-        # ladder pass for all its policies (at 24 h every start stops in
-        # its first iteration, so the whole search is one stacked call)
+        # table 2 at 0.5 h: the first stacked call also builds the failure
+        # law; every later one makes only its one ladder pass for all its
+        # policies, and the search builds the law once
         import cbmopt.optimizer as optimizer_module
 
         passes = []
         per_call = []
-        survival = maintenance_policy.series_survival_over_times
+        for module in (maintenance_policy, system_reliability):
 
-        def counted_survival(*args, **kwargs):
-            passes.append(1)
-            return survival(*args, **kwargs)
+            def counted_survival(*args, survival=module.series_survival_over_times, **kwargs):
+                passes.append(1)
+                return survival(*args, **kwargs)
+
+            monkeypatch.setattr(module, "series_survival_over_times", counted_survival)
 
         def counted_cost_rate(*args, **kwargs):
             before = len(passes)
@@ -279,7 +296,6 @@ class TestFailureCdfMemo:
             per_call.append(len(passes) - before)
             return breakdowns
 
-        monkeypatch.setattr(maintenance_policy, "series_survival_over_times", counted_survival)
         monkeypatch.setattr(optimizer_module, "cost_rate", counted_cost_rate)
         # the search that configs/table2.json ships
         config = OptimizerConfig(multistart_count=8, max_iterations=300, seed=1)
@@ -288,29 +304,19 @@ class TestFailureCdfMemo:
         assert len(per_call) >= 20
         assert per_call[1:] == [1] * (len(per_call) - 1)
         assert result.evaluations > len(per_call)
+        assert system_reliability._cached_law.cache_info().misses == 1
 
-    def test_holds_the_taus_of_the_latest_call(self):
-        system = table2_system()
-        memo = _FailureCdfMemo(system, None)
-        a, b = np.array([0.5, 1.0]), np.array([2.0])
-        at_1, at_2 = memo.lookups([1.0, 2.0])
-        at_1(a)
-        at_1(b)
-        at_2(a)
-        assert {tau: len(held) for tau, held in memo.held.items()} == {1.0: 2, 2.0: 1}
-        memo.lookups([2.0, 2.0, 3.0])
-        assert list(memo.held) == [2.0, 3.0]
-        assert list(memo.held[2.0]) == [a.tobytes()] and memo.held[3.0] == {}
-
-    def test_hits_are_the_stored_read_only_pass(self):
-        system = random_system(np.random.default_rng(1), 3)
-        memo = _FailureCdfMemo(system, None)
-        ts = np.linspace(0.1, 9.0, 15)
-        [lookup] = memo.lookups([5.0])
-        first = lookup(ts)
-        assert memo.lookups([5.0])[0](ts.copy()) is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 0.0
-        direct = 1.0 - series_survival_over_times(system, ts, system.h1_vector)
-        assert np.array_equal(first, direct)
+    @pytest.mark.parametrize("case, tau", [("table2", 24.0), (3, 5.0)])
+    def test_fixed_tau_search_builds_the_law_at_most_once(self, case, tau):
+        if case == "table2":
+            system, costs = table2_system(), self.TABLE2_COSTS
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+            costs = CostParams(c_i=1.0, c_rho=300.0, c_r=80.0)
+        config = OptimizerConfig(multistart_count=4, max_iterations=40, seed=0)
+        optimize_fixed_tau(system, costs, tau, config)
+        assert system_reliability._cached_law.cache_info().misses == 1
+        # an equal model built anew finds the same law
+        again = SystemModel(components=tuple(system.components), lam=system.lam)
+        assert again is not system and failure_law(again) is failure_law(system)
+        assert system_reliability._cached_law.cache_info().misses == 1

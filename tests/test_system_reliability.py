@@ -3,18 +3,28 @@ are its complements at the critical and on-condition thresholds."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbmopt.errors import DomainError
+from cbmopt.errors import DomainError, TruncationCapError
 from cbmopt.failure_model import (
+    DEFAULT_TRUNCATION,
+    ComponentParams,
     SystemModel,
+    TruncationConfig,
     event_probabilities,
     poisson_weights,
     shock_survival_prob,
     threshold_cdf_block,
 )
-from cbmopt.system_reliability import as_thresholds, series_survival_over_times
+from cbmopt.system_reliability import (
+    FailureLaw,
+    as_thresholds,
+    failure_law,
+    series_survival_over_times,
+)
 
-from conftest import random_component, random_system
+from conftest import random_component, random_system, table2_system, table3_system
 
 
 @pytest.fixture
@@ -226,3 +236,74 @@ class TestFirstPassageCdfs:
         analytic = 1.0 - series_survival_over_times(model, [t], model.h1_vector)[0]
         stderr = np.sqrt(p_hat * (1.0 - p_hat) / n)
         assert abs(analytic - p_hat) < 3.0 * stderr
+
+
+def law_error(law: FailureLaw, model: SystemModel, trunc=None) -> float:
+    """Largest |law - direct pass| at uniform times over the law's reach
+    (1.2 horizons where F_f = 1 beyond the horizon) and at times log-spread
+    down to 1e-12 of the horizon."""
+    reach = 1.2 * law.horizon if law.complete else law.horizon
+    grids = [np.linspace(0.0, reach, 241), law.horizon * np.logspace(-12.0, 0.0, 241)]
+    return max(
+        float(np.abs(law(t) - (1.0 - series_survival_over_times(model, t, model.h1_vector, trunc))).max())
+        for t in grids
+    )
+
+
+class TestFailureLaw:
+    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4])
+    def test_matches_direct_passes(self, case):
+        if case == "table2":
+            model = table2_system()
+        elif case == "table3":
+            model = table3_system()
+        else:
+            model = random_system(np.random.default_rng(case), 3)
+        law = FailureLaw(model, DEFAULT_TRUNCATION)
+        assert law.complete
+        assert series_survival_over_times(model, [law.horizon], model.h1_vector)[0] < 1e-17
+        assert law_error(law, model) <= 1e-13
+
+    def test_cached_by_value(self):
+        model = random_system(np.random.default_rng(1), 3)
+        twin = SystemModel(components=tuple(model.components), lam=model.lam)
+        assert failure_law(model) is failure_law(twin) is failure_law(model, DEFAULT_TRUNCATION)
+        assert failure_law(model, TruncationConfig(m_max_cap=50)) is not failure_law(model)
+
+    def test_ends_where_the_shock_series_reaches_its_cap(self):
+        # three shock terms cannot reach the horizon: the law ends at the
+        # latest time they reach, and a later time raises what a direct
+        # pass there raises
+        model = random_system(np.random.default_rng(1), 3)
+        trunc = TruncationConfig(m_max_cap=3)
+        law = FailureLaw(model, trunc)
+        assert not law.complete
+        assert law_error(law, model, trunc) <= 1e-13
+        later = np.array([0.5, 2.0]) * law.horizon
+        with pytest.raises(TruncationCapError) as direct:
+            series_survival_over_times(model, later, model.h1_vector, trunc)
+        with pytest.raises(TruncationCapError, match="shock-count series") as from_law:
+            law(later)
+        assert str(from_law.value) == str(direct.value)
+
+
+@given(
+    p=st.floats(min_value=1e-3, max_value=1.0),
+    fast_rate=st.floats(min_value=0.1, max_value=10.0),
+    wear_is_slow=st.booleans(),
+    wear_shape=st.floats(min_value=1e-3, max_value=1e3),
+    jump_shape=st.floats(min_value=1e-3, max_value=1e2),
+    lam=st.floats(min_value=0.0, max_value=0.5),
+)
+@settings(max_examples=15, deadline=None)
+def test_failure_law_at_extreme_parameters(p, fast_rate, wear_is_slow, wear_shape, jump_shape, lam):
+    # rate ratios down to 1e-3 and shapes over six decades: the law matches
+    # direct passes, or building it raises the typed cap error
+    beta, y_beta = (p * fast_rate, fast_rate) if wear_is_slow else (fast_rate, p * fast_rate)
+    c = ComponentParams("x", 1.0, 1.5, wear_shape, beta, jump_shape, y_beta, 1.0, 0.3)
+    model = SystemModel(components=(c,), lam=lam)
+    try:
+        law = FailureLaw(model, DEFAULT_TRUNCATION)
+    except TruncationCapError:
+        return
+    assert law_error(law, model) <= 1e-13
