@@ -312,13 +312,14 @@ def _breakdowns(
             for policy in policies
             for outcome in _breakdowns(model, [policy], costs, trunc, tail)
         ]
+    law = failure_law(model, trunc)
     outcomes = []
     for policy, ladder in zip(policies, ladders):
         if isinstance(ladder, CbmError):
             outcomes.append(ladder)
             continue
         try:
-            e_rho = _downtime_from_ladder(policy.tau, ladder, failure_law(model, trunc))
+            e_rho = _downtime_from_ladder(policy.tau, ladder, law)
         except CbmError as error:
             outcomes.append(error)
             continue

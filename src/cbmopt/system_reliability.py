@@ -132,12 +132,15 @@ def series_survival_over_times(
 # each interpolated at _LAW_POINTS Chebyshev points of the first kind; a
 # panel is halved, up to _LAW_DEPTH times, while any of its last _LAW_TRAIL
 # coefficients exceeds _LAW_CHOP (Aurentz & Trefethen, "Chopping a Chebyshev
-# series", ACM TOMS 43, 2017). Beyond the horizon T, where the survival is
-# below _LAW_TAIL, F_f is 1.
+# series", ACM TOMS 43, 2017), unless the last halving left them above
+# _LAW_STALL of their size, which is the rounding noise of the survival
+# values and not a lack of resolution. Beyond the horizon T, where the
+# survival is below _LAW_TAIL, F_f is 1.
 _LAW_POINTS = 24
 _LAW_GRADING = 40
 _LAW_TRAIL = 4
 _LAW_CHOP = 1e-14
+_LAW_STALL = 0.5
 _LAW_DEPTH = 20
 _LAW_TAIL = 1e-17
 _ANGLES = np.pi * (np.arange(_LAW_POINTS) + 0.5) / _LAW_POINTS
@@ -155,46 +158,59 @@ class FailureLaw:
     Each refinement level evaluates its new panels' points in one survival
     pass, which also carries the horizon so that every level takes the
     shock-count cutoff there. The law agrees with direct passes to about
-    1e-14, and since it is built whole, its values depend on the model,
-    the truncation rule and the times alone.
+    1e-14, and since it is built whole, what a call returns depends on the
+    model, the truncation rule and the call's times, never on earlier calls.
 
-    Where the shock series cannot reach a horizon within its term cap, the
-    law ends at the latest time it can reach (complete is then False), and
-    asking for a later time raises the TruncationCapError that a direct
-    pass there raises.
+    The law is incomplete (complete is False) where the shock or mixture
+    series cannot reach a horizon within its term cap, or where a panel
+    does not resolve: it then ends at the latest time the series reach,
+    or at the start of the first panel it could not resolve. A call with a
+    time at or beyond that end reads all its times from one direct pass,
+    which raises what such a pass raises; a direct pass's own rounding
+    noise then stays consistent across the call's times.
     """
 
     def __init__(self, model: SystemModel, trunc: TruncationConfig):
         self.model, self.trunc = model, trunc
-        self.horizon, self.complete = _law_horizon(model, trunc)
-        top = self.horizon
+        top, found = _law_horizon(model, trunc)
         edges = np.concatenate([[0.0], top * 0.5 ** np.arange(_LAW_GRADING, -1, -1)])
         lo, hi = edges[:-1], edges[1:]
-        kept = []
+        before = np.full(lo.size, np.inf)  # trailing sizes before the last halving
+        reach, kept = top, [(np.empty(0), np.empty((0, _LAW_POINTS)))]
         for depth in range(_LAW_DEPTH + 1):
             points = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _CHEB_X
-            survival = series_survival_over_times(
-                model, np.append(points.ravel(), top), model.h1_vector, trunc
-            )
+            try:
+                survival = series_survival_over_times(
+                    model, np.append(points.ravel(), top), model.h1_vector, trunc
+                )
+            except TruncationCapError:  # the series cannot reach these panels
+                reach = float(lo.min())
+                break
             coeffs = (1.0 - survival[:-1]).reshape(points.shape) @ _TO_COEFFS.T
             trail = np.abs(coeffs[:, -_LAW_TRAIL:]).max(axis=1)
-            done = (trail <= _LAW_CHOP) | (depth == _LAW_DEPTH)
+            done = trail <= _LAW_CHOP
+            stuck = ~done & ((trail > _LAW_STALL * before) | (depth == _LAW_DEPTH))
+            reach = float(np.min(lo[stuck], initial=reach))
             kept.append((lo[done], coeffs[done]))
-            mid = 0.5 * (lo + hi)[~done]
-            lo, hi = np.concatenate([lo[~done], mid]), np.concatenate([mid, hi[~done]])
+            split = ~done & (lo < reach)
+            mid = 0.5 * (lo + hi)[split]
+            lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            before = np.tile(trail[split], 2)
             if lo.size == 0:
                 break
-        starts = np.concatenate([part[0] for part in kept])
+        self.horizon, self.complete = reach, found and reach == top
+        starts, coeffs = (np.concatenate(parts) for parts in zip(*kept))
         order = np.argsort(starts)
-        self.edges = np.append(starts[order], top)
+        order = order[starts[order] < reach]
+        self.edges = np.append(starts[order], reach)
         # one column per panel, so that a gather gives one row per degree
-        self.coeffs = np.concatenate([part[1] for part in kept])[order].T.copy()
+        self.coeffs = coeffs[order].T.copy()
 
     def __call__(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=float)
-        if not self.complete and t.size and t.max() > self.horizon:
-            poisson_weights(self.model.lam * float(t.max()), self.trunc)
-            raise TruncationCapError(f"the failure law ends at t = {self.horizon}")
+        if not self.complete and t.size and t.max() >= self.horizon:
+            survival = series_survival_over_times(self.model, t.ravel(), self.model.h1_vector, self.trunc)
+            return 1.0 - survival.reshape(t.shape)
         panel = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
         lo, hi = self.edges[panel], self.edges[panel + 1]
         x2 = 2.0 * np.clip((2.0 * t - lo - hi) / (hi - lo), -1.0, 1.0)
@@ -203,8 +219,7 @@ class FailureLaw:
         b1, b2 = c[-1], 0.0
         for c_k in c[-2:0:-1]:
             b1, b2 = c_k + x2 * b1 - b2, b1
-        cdf = np.clip(c[0] + 0.5 * x2 * b1 - b2, 0.0, 1.0)
-        return np.where(t >= self.horizon, 1.0, cdf) if self.complete else cdf
+        return np.where(t >= self.horizon, 1.0, np.clip(c[0] + 0.5 * x2 * b1 - b2, 0.0, 1.0))
 
 
 def _law_horizon(model: SystemModel, trunc: TruncationConfig) -> tuple[float, bool]:
@@ -212,41 +227,25 @@ def _law_horizon(model: SystemModel, trunc: TruncationConfig) -> tuple[float, bo
     _LAW_TAIL.
 
     Degradation is at least the wear, so the survival is at most the
-    wear-only bound prod_i P(wear_i(t) <= h1_i). The first t = ts 2^j (ts
-    the shortest wear timescale) where that bound is below _LAW_TAIL, or
-    the latest time within the shock series' term cap if that comes first,
-    starts the search; one survival pass at t 2^-j, j = 0..8, then gives
-    the earliest of those times where the survival is below _LAW_TAIL.
+    wear-only bound prod_i P(wear_i(t) <= h1_i). At the first t = ts 2^j
+    (ts the shortest wear timescale) where that bound is below _LAW_TAIL,
+    one survival pass at t 2^-j, j = 0..8, gives the earliest of those
+    times where the survival is below _LAW_TAIL. While the shock or
+    mixture series cannot reach t within its term cap, t is halved.
     """
     comps = model.components
     t = min(c.h1 * c.beta / c.alpha for c in comps)
     while np.prod([special.gammainc(c.alpha * t, c.beta * c.h1) for c in comps]) >= _LAW_TAIL:
         t *= 2.0
-    t = _shock_cap_time(model, trunc, t)
-    candidates = t * 0.5 ** np.arange(8, -1, -1)
-    below = np.flatnonzero(
-        series_survival_over_times(model, candidates, model.h1_vector, trunc) < _LAW_TAIL
-    )
-    return (float(candidates[below[0]]), True) if below.size else (t, False)
-
-
-def _shock_cap_time(model: SystemModel, trunc: TruncationConfig, t: float) -> float:
-    """t, or by bisection the latest earlier time whose shock-count series
-    fits within the term cap."""
-
-    def fits(time):
+    times = t * 0.5 ** np.arange(8, -1, -1)
+    while True:
         try:
-            return bool(poisson_weights(model.lam * time, trunc))
+            survival = series_survival_over_times(model, times, model.h1_vector, trunc)
+            break
         except TruncationCapError:
-            return False
-
-    if fits(t):
-        return t
-    lo, hi = 0.0, t
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return lo
+            times *= 0.5
+    below = np.flatnonzero(survival < _LAW_TAIL)
+    return (float(times[below[0]]), True) if below.size else (float(times[-1]), False)
 
 
 @functools.lru_cache(maxsize=128)

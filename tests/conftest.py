@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cbmopt import maintenance_policy, system_reliability
 from cbmopt.failure_model import ComponentParams, SystemModel
 
 # Four-component benchmark system: components 1 & 2 share parameters, as do 3 & 4.
@@ -73,6 +74,29 @@ def random_system(rng: np.random.Generator, n: int) -> SystemModel:
 @pytest.fixture
 def bench_system() -> SystemModel:
     return table2_system()
+
+
+@pytest.fixture
+def cold_law():
+    """No failure law built yet, so that no pass count depends on which
+    tests ran before."""
+    system_reliability._cached_law.cache_clear()
+    yield
+    system_reliability._cached_law.cache_clear()
+
+
+def count_passes(monkeypatch) -> list:
+    """Count the survival passes of the ladders (through maintenance_policy's
+    name) and of the failure law (through system_reliability's)."""
+    passes = []
+    for module in (maintenance_policy, system_reliability):
+
+        def counted(*args, survival=module.series_survival_over_times, **kwargs):
+            passes.append(1)
+            return survival(*args, **kwargs)
+
+        monkeypatch.setattr(module, "series_survival_over_times", counted)
+    return passes
 
 
 def pytest_addoption(parser):

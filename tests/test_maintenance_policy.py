@@ -32,7 +32,7 @@ from cbmopt.maintenance_policy import (
 from cbmopt.simulator import SimulationConfig, simulate_many
 from cbmopt.system_reliability import failure_law, series_survival_over_times
 
-from conftest import random_system, table2_system, table3_system
+from conftest import count_passes, random_system, table2_system, table3_system
 
 
 @pytest.fixture(scope="module")
@@ -293,29 +293,6 @@ class TestCostRate:
             before = len(calls)
             assert cost_rate(s, p, costs) == expected
             assert len(calls) > before
-
-
-def count_passes(monkeypatch):
-    """Count the survival passes of the ladders (through maintenance_policy's
-    name) and of the failure law (through system_reliability's)."""
-    passes = []
-    for module in (maintenance_policy, system_reliability):
-
-        def counted(*args, survival=module.series_survival_over_times, **kwargs):
-            passes.append(1)
-            return survival(*args, **kwargs)
-
-        monkeypatch.setattr(module, "series_survival_over_times", counted)
-    return passes
-
-
-@pytest.fixture
-def cold_law():
-    """No failure law built yet, so that no pass count depends on which
-    tests ran before."""
-    system_reliability._cached_law.cache_clear()
-    yield
-    system_reliability._cached_law.cache_clear()
 
 
 @pytest.mark.usefixtures("cold_law")

@@ -22,7 +22,7 @@ from cbmopt.optimizer import (
 )
 from cbmopt.system_reliability import failure_law
 
-from conftest import random_system, table2_system
+from conftest import count_passes, random_system, table2_system
 
 
 def quadratic(center):
@@ -246,15 +246,6 @@ class TestPolicyOptimization:
         assert 0 < len(passes) < result.evaluations
 
 
-@pytest.fixture
-def cold_law():
-    """No failure law built yet, so that no pass count depends on which
-    tests ran before."""
-    system_reliability._cached_law.cache_clear()
-    yield
-    system_reliability._cached_law.cache_clear()
-
-
 @pytest.mark.usefixtures("cold_law")
 class TestFailureLawInSearch:
     TABLE2_COSTS = CostParams(c_i=1.0, c_rho=20000.0, c_r=100.0)
@@ -280,15 +271,8 @@ class TestFailureLawInSearch:
         # policies, and the search builds the law once
         import cbmopt.optimizer as optimizer_module
 
-        passes = []
+        passes = count_passes(monkeypatch)
         per_call = []
-        for module in (maintenance_policy, system_reliability):
-
-            def counted_survival(*args, survival=module.series_survival_over_times, **kwargs):
-                passes.append(1)
-                return survival(*args, **kwargs)
-
-            monkeypatch.setattr(module, "series_survival_over_times", counted_survival)
 
         def counted_cost_rate(*args, **kwargs):
             before = len(passes)

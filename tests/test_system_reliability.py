@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbmopt import failure_model, system_reliability
 from cbmopt.errors import DomainError, TruncationCapError
 from cbmopt.failure_model import (
     DEFAULT_TRUNCATION,
@@ -17,6 +18,7 @@ from cbmopt.failure_model import (
     shock_survival_prob,
     threshold_cdf_block,
 )
+from cbmopt.maintenance_policy import CostParams, Policy, cost_rate
 from cbmopt.system_reliability import (
     FailureLaw,
     as_thresholds,
@@ -24,7 +26,7 @@ from cbmopt.system_reliability import (
     series_survival_over_times,
 )
 
-from conftest import random_component, random_system, table2_system, table3_system
+from conftest import count_passes, random_component, random_system, table2_system, table3_system
 
 
 @pytest.fixture
@@ -240,10 +242,10 @@ class TestFirstPassageCdfs:
 
 def law_error(law: FailureLaw, model: SystemModel, trunc=None) -> float:
     """Largest |law - direct pass| at uniform times over the law's reach
-    (1.2 horizons where F_f = 1 beyond the horizon) and at times log-spread
-    down to 1e-12 of the horizon."""
-    reach = 1.2 * law.horizon if law.complete else law.horizon
-    grids = [np.linspace(0.0, reach, 241), law.horizon * np.logspace(-12.0, 0.0, 241)]
+    (1.2 horizons where F_f = 1 beyond the horizon, else up to the law's
+    end) and at times log-spread down to 1e-12 of it."""
+    reach = 1.2 * law.horizon if law.complete else law.horizon * (1.0 - 2.0**-20)
+    grids = [np.linspace(0.0, reach, 241), reach * np.logspace(-12.0, 0.0, 241)]
     return max(
         float(np.abs(law(t) - (1.0 - series_survival_over_times(model, t, model.h1_vector, trunc))).max())
         for t in grids
@@ -272,19 +274,90 @@ class TestFailureLaw:
 
     def test_ends_where_the_shock_series_reaches_its_cap(self):
         # three shock terms cannot reach the horizon: the law ends at the
-        # latest time they reach, and a later time raises what a direct
-        # pass there raises
+        # latest time they reach, and a call with a later time reads all its
+        # times from a direct pass, which raises where that pass raises
         model = random_system(np.random.default_rng(1), 3)
         trunc = TruncationConfig(m_max_cap=3)
         law = FailureLaw(model, trunc)
         assert not law.complete
         assert law_error(law, model, trunc) <= 1e-13
+        ending = np.array([0.5, 1.0]) * law.horizon
+        direct = 1.0 - series_survival_over_times(model, ending, model.h1_vector, trunc)
+        assert np.array_equal(law(ending), direct)
         later = np.array([0.5, 2.0]) * law.horizon
         with pytest.raises(TruncationCapError) as direct:
             series_survival_over_times(model, later, model.h1_vector, trunc)
         with pytest.raises(TruncationCapError, match="shock-count series") as from_law:
             law(later)
         assert str(from_law.value) == str(direct.value)
+
+    def test_ends_where_the_mixture_series_reaches_its_cap(self):
+        # at a rate ratio of 0.01 the gamma-sum mixture cannot reach the
+        # wear-only bound's time, 80 h, within its term cap, so the law ends
+        # before it; policies whose integral ends before or after that end
+        # both evaluate, the latter from direct passes
+        c = ComponentParams("x", 1.0, 3.0, 1.0, 10.0, 10.0, 1000.0, 1.0, 0.3)
+        model = SystemModel(components=(c,), lam=0.01)
+        with pytest.raises(TruncationCapError, match="gamma-sum mixture"):
+            series_survival_over_times(model, 80.0 * 0.5 ** np.arange(9), model.h1_vector)
+        law = FailureLaw(model, DEFAULT_TRUNCATION)
+        assert not law.complete and law.horizon > 0.0
+        # the mixture's rounding here moves a direct pass by up to 8e-13
+        # with the other times in it, and the law stays within that
+        assert law_error(law, model) <= 1e-12
+        for tau in (0.5 * law.horizon, 1.2 * law.horizon):
+            breakdown = cost_rate(model, Policy(tau=tau, h2=(0.0,)), CostParams(1.0, 1.0, 1.0))
+            assert breakdown.e_rho == pytest.approx(failure_cdf_area(model, tau), rel=1e-8)
+
+    def test_build_pass_the_mixture_cannot_finish_ends_the_law(self, monkeypatch):
+        # capped at 1,000 terms, the mixture reaches the horizon pass's nine
+        # times but not the first build pass's intermediate ones: the law
+        # ends at 0, and every call is one direct pass
+        monkeypatch.setattr(failure_model, "MIXTURE_TERM_CAP", 1000)
+        c = ComponentParams("x", 1.0, 3.0, 1.0, 10.0, 0.1, 1000.0 / 3.0, 1.0, 0.3)
+        model = SystemModel(components=(c,), lam=0.01)
+        law = FailureLaw(model, DEFAULT_TRUNCATION)
+        assert (law.horizon, law.complete) == (0.0, False)
+        t = np.linspace(0.0, 5.0, 11)
+        assert np.array_equal(law(t), 1.0 - series_survival_over_times(model, t, model.h1_vector))
+        breakdown = cost_rate(model, Policy(tau=1.0, h2=(0.0,)), CostParams(1.0, 1.0, 1.0))
+        assert breakdown.e_rho == pytest.approx(failure_cdf_area(model, 1.0), rel=1e-8)
+
+    def test_panel_at_the_noise_floor_ends_the_law(self, monkeypatch):
+        # the mixture's rounding keeps some panels' trailing coefficients
+        # above 1e-14 however small the panel; a halving that does not
+        # shrink them ends the law there, where halving them to the depth
+        # cap would double the build pass at every level
+        c = ComponentParams("x", 1.0, 3.0, 1.0, 30.0, 0.1, 600.0, 1.0, 0.3)
+        model = SystemModel(components=(c,), lam=0.01)
+        passes = count_passes(monkeypatch)
+        law = FailureLaw(model, DEFAULT_TRUNCATION)
+        assert len(passes) <= 6
+        assert not law.complete and law.horizon > 0.0
+        assert law_error(law, model) <= 1e-12
+
+    def test_unresolved_panel_ends_the_law(self, monkeypatch):
+        # with no halving allowed, the panels that need one end the law at
+        # the first of them; later times are read from direct passes
+        model = random_system(np.random.default_rng(1), 3)
+        whole = FailureLaw(model, DEFAULT_TRUNCATION)
+        monkeypatch.setattr(system_reliability, "_LAW_DEPTH", 0)
+        law = FailureLaw(model, DEFAULT_TRUNCATION)
+        assert not law.complete and 0.0 < law.horizon < whole.horizon
+        assert law_error(law, model) <= 1e-13
+        t = np.linspace(0.0, whole.horizon, 41)
+        assert np.array_equal(law(t), 1.0 - series_survival_over_times(model, t, model.h1_vector))
+
+
+def failure_cdf_area(model: SystemModel, tau: float) -> float:
+    """The failure CDF's area over [0, tau] by 20-point Gauss-Legendre on
+    panels graded by halves toward 0, from one direct pass."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.concatenate([[0.0], tau * 0.5 ** np.arange(40, -1, -1)])
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+    nodes = mid[:, None] + half[:, None] * x
+    survival = series_survival_over_times(model, nodes.ravel(), model.h1_vector)
+    return float((half[:, None] * (1.0 - survival.reshape(nodes.shape)) * w).sum())
 
 
 @given(
@@ -297,13 +370,9 @@ class TestFailureLaw:
 )
 @settings(max_examples=15, deadline=None)
 def test_failure_law_at_extreme_parameters(p, fast_rate, wear_is_slow, wear_shape, jump_shape, lam):
-    # rate ratios down to 1e-3 and shapes over six decades: the law matches
-    # direct passes, or building it raises the typed cap error
+    # rate ratios down to 1e-3 and shapes over six decades: the law is
+    # built, and it matches direct passes up to where it ends
     beta, y_beta = (p * fast_rate, fast_rate) if wear_is_slow else (fast_rate, p * fast_rate)
     c = ComponentParams("x", 1.0, 1.5, wear_shape, beta, jump_shape, y_beta, 1.0, 0.3)
     model = SystemModel(components=(c,), lam=lam)
-    try:
-        law = FailureLaw(model, DEFAULT_TRUNCATION)
-    except TruncationCapError:
-        return
-    assert law_error(law, model) <= 1e-13
+    assert law_error(FailureLaw(model, DEFAULT_TRUNCATION), model) <= 1e-13
