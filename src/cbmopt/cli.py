@@ -310,7 +310,9 @@ def cmd_evaluate(config: RunConfig) -> dict:
     outputs = {"breakdown": _breakdown_dict(breakdown)}
     warnings = []
     sim = config.simulation
-    if sim is not None and sim.replications > 1:
+    if sim is not None and sim.replications == 1:
+        warnings.append("single replication: stderr is undefined, Monte Carlo cross-check skipped")
+    elif sim is not None:
         estimate = estimate_cost_rate(config.system, config.policy, config.costs, sim)
         outputs["simulation"] = _estimate_dict(estimate)
         outputs["cr_gap"] = breakdown.cr - estimate.mean_cr

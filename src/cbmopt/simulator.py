@@ -4,9 +4,9 @@ One vectorized engine, _advance, moves a block of paths between two times.
 Shocks arrive after exponential gaps; between them each component takes
 one exact gamma increment. A crossing inside such a stretch is located by
 conditional bisection: given the levels at both ends, the level at a split
-point follows a beta-scaled bridge, and monotonicity of the path makes
-bisection find the same crossing point a dense grid would. A path fails
-at its earliest component crossing, so each later component is bisected
+point follows a beta-scaled bridge, and monotonicity of the path keeps
+the crossing inside the bracket that bisection narrows. A path fails at
+its earliest component crossing, so each later component is bisected
 only where it comes before the earliest one found so far. The cycle
 simulator runs the engine once per inspection interval on the surviving
 paths and halves each bracket down to the configured sub-step, so a
@@ -127,25 +127,23 @@ def _bisect(alpha, limit, rng, lo, hi, x_lo, x_hi, sub_step, grid, cap=None):
     bracket is halved while it is wider than sub_step; with grid (strictly
     increasing) it is split at its middle grid point strictly inside while
     one is left. A bracket too narrow to split, its beta shapes not both
-    positive (one ulp of t), counts as resolved.
+    positive (one ulp of t), counts as resolved. Either way the right end
+    returned is at or after the crossing, and without grid at most
+    max(sub_step, one ulp) after it; with grid it is the first grid point
+    inside the bracket at or after the crossing, or hi.
 
     cap, one value per bracket, is the earliest crossing already found on
     the bracket's path; a crossing past it cannot move the path's failure
     time. A bracket with lo >= cap is dropped, its right end returned as it
     came. One with lo < cap < hi that would be split is first split at cap,
     one bridge draw: if the level there is below limit the crossing lies
-    after cap and the bracket is dropped too. Otherwise the crossing lies
-    in (lo, cap]. With grid the bracket becomes (lo, cap] and is split at
-    its grid points below cap. Without grid it is halved as before, but a
-    split point at or past cap takes no draw (its level is at or above
-    limit) and one before cap is drawn between lo and cap, until the
-    bracket ends at or before cap; then halving goes on as usual. Where cap
-    is a right end that the uncapped search of a bracket on the same
-    stretch can return, as in _advance, min(right end, cap) is therefore
-    exactly what it is without cap.
+    after cap and the bracket is dropped too. Otherwise it becomes
+    (lo, cap] and is split on as any other. So min(right end, cap) is cap
+    where the crossing lies past cap, and otherwise a right end with the
+    guarantee above.
 
     The live brackets stay compacted in their original order, so after the
-    splits at cap each round draws one beta per bracket it splits, in
+    split at cap each round draws one beta per bracket it splits, in
     bracket order.
     """
     out = hi.copy()
@@ -169,41 +167,12 @@ def _bisect(alpha, limit, rng, lo, hi, x_lo, x_hi, sub_step, grid, cap=None):
             x_c = x_lo[split] + (x_hi[split] - x_lo[split]) * rng.beta(left[ok], right[ok])
             above = x_c >= limit
             keep[split[~above]] = False
-            split, c, x_c = split[above], c[above], x_c[above]
+            split, c = split[above], c[above]
             hi, x_hi = hi.copy(), x_hi.copy()
+            hi[split], x_hi[split] = c, x_c[above]
             if grid is None:
-                # halve until the bracket ends at or before c, drawing only
-                # the split points before c
-                lo, x_lo = lo.copy(), x_lo.copy()
-                l, h, x_l = lo[split], hi[split], x_lo[split]
-                while split.size:
-                    mid = 0.5 * (l + h)
-                    left, right = alpha * (mid - l), alpha * (c - mid)
-                    free = mid >= c
-                    # one too narrow to split is resolved at h, past c
-                    stop = (h - l <= sub_step) | ~free & ((left <= 0.0) | (right <= 0.0))
-                    draw = np.flatnonzero(~(free | stop))
-                    x_mid = x_c.copy()
-                    x_mid[draw] = x_l[draw] + (x_c[draw] - x_l[draw]) * rng.beta(
-                        left[draw], right[draw]
-                    )
-                    rise = x_mid >= limit
-                    l, x_l = np.where(rise, l, mid), np.where(rise, x_l, x_mid)
-                    h = np.where(rise, mid, h)
-                    done = stop | rise & (mid <= c)
-                    if done.any():
-                        keep[split[stop]] = False
-                        end = done & ~stop
-                        at_end = split[end]
-                        lo[at_end], x_lo[at_end] = l[end], x_l[end]
-                        hi[at_end], x_hi[at_end] = h[end], x_mid[end]
-                        keep[at_end] = h[end] - l[end] > sub_step
-                        more = ~done
-                        split, l, h, x_l, c, x_c = (
-                            split[more], l[more], h[more], x_l[more], c[more], x_c[more]
-                        )
+                keep[split] = c - lo[split] > sub_step
             else:
-                hi[split], x_hi[split] = c, x_c
                 b[split] = np.searchsorted(grid, c, side="left")
                 keep[split] = a[split] < b[split]
     while True:
@@ -255,9 +224,7 @@ def _advance(
     component's crossing is refined only where it comes earlier. Without
     grid the failure is reported late by at most max(sub_step, one ulp of
     t) and never early. With grid the reported time is at most a grid
-    point exactly when the crossing is, and sub_step is unused. Either way
-    the cap leaves the reported time what uncapped bisection would make of
-    the same path.
+    point exactly when the crossing is, and sub_step is unused.
     """
     fail = np.full(levels.shape[1], np.inf)
     hard = np.zeros(levels.shape[1], dtype=bool)

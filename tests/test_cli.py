@@ -229,6 +229,17 @@ class TestEvaluateCommand:
         assert 3.0 * report["outputs"]["downtime_gap_stderr"] < gap < 24.0 / 1024.0
         assert report["warnings"] == []
 
+    def test_single_replication_skips_the_cross_check_with_a_warning(self, tmp_path, capsys):
+        payload = small_config()
+        payload["simulation"]["replications"] = 1
+        code = main(["evaluate", "--config", write_config(tmp_path, payload)])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "simulation" not in report["outputs"]
+        assert report["warnings"] == [
+            "single replication: stderr is undefined, Monte Carlo cross-check skipped"
+        ]
+
     def test_missing_policy_rejected(self, tmp_path):
         payload = small_config()
         payload.pop("policy")
