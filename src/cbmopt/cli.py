@@ -321,8 +321,7 @@ def cmd_evaluate(config: RunConfig) -> dict:
         # the simulator reports each soft failure less than one sub-step
         # late, so its mean downtime, and with it its cost rate, can only
         # read low, by at most this much
-        sub_step = sim.sub_step if sim.sub_step is not None else config.policy.tau / 1024.0
-        late = sub_step * (1.0 - estimate.preventive_fraction)
+        late = sim.resolved_sub_step(config.policy.tau) * (1.0 - estimate.preventive_fraction)
         warnings += _gap_warning(
             "cost-rate", outputs["cr_gap"], estimate.stderr_cr,
             config.costs.c_rho * late / breakdown.e_k,

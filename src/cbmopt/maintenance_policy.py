@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .errors import CbmError, DomainError, TailCapError
-from .failure_model import SystemModel, TruncationConfig
+from .errors import CbmError, DomainError, TailCapError, TruncationCapError
+from .failure_model import SystemModel, TruncationConfig, poisson_weights
 from .numerics import adaptive_integrate, kronrod_nodes, negligible_shape
 from .system_reliability import (
     FailureLaw,
@@ -44,9 +44,8 @@ __all__ = [
     "cost_rate",
 ]
 
-# a ladder that the wear-only bound ends within this many epochs takes one
-# survival pass
-_FIRST_BATCH = 16
+# the most inspection epochs one survival pass of a ladder takes
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -107,54 +106,56 @@ class SeriesTailConfig:
 DEFAULT_TAIL = SeriesTailConfig()
 
 
-def _wear_bound_end(model: SystemModel, h2, tau: float, tail: SeriesTailConfig) -> int | None:
-    """An epoch k <= _FIRST_BATCH by which the ladder surely ends, or None.
-
-    Degradation is at least the wear, so the detection survival at k*tau is
-    at most the wear-only bound prod_i P(wear_i(k*tau) <= h2_i), and the
-    ladder ends by the first k where that bound is below the tail cutoff.
+def _next_batch(model: SystemModel, h2, tau: float, k: int, trunc, tail: SeriesTailConfig):
+    """The epochs of a ladder's survival pass after its k-th: the next
+    _BATCH, cut at the first where the wear-only bound prod_i
+    P(wear_i(j*tau) <= h2_i) falls below the tail cutoff, by which the
+    ladder surely ends because degradation is at least the wear; then
+    halved while a pass could not reach the last one within the shock-count
+    series' term cap, which only a ladder still open there needs to.
     """
-    epochs = tau * np.arange(1, min(_FIRST_BATCH, tail.k_max_cap) + 1)
+    epochs = tau * np.arange(k + 1, min(k + _BATCH, tail.k_max_cap) + 1)
     shapes = np.array([[c.alpha] for c in model.components]) * epochs
     levels = np.array([[c.beta * h] for c, h in zip(model.components, h2)])
     # a negligible wear shape is the point mass at zero, below any level
     wear = np.where(negligible_shape(shapes), 1.0, special.gammainc(shapes, levels))
     below = np.flatnonzero(wear.prod(axis=0) < tail.k_tail_eps)
-    return int(below[0]) + 1 if below.size else None
+    epochs = epochs[: below[0] + 1] if below.size else epochs
+    while epochs.size > 1:
+        try:
+            poisson_weights(model.lam * float(epochs[-1]), trunc)
+            return epochs
+        except TruncationCapError:
+            epochs = epochs[: epochs.size // 2]
+    return epochs
 
 
-def _ladder_passes(model: SystemModel, policy: Policy, tail: SeriesTailConfig):
+def _ladder_passes(model: SystemModel, policy: Policy, trunc, tail: SeriesTailConfig):
     """The detection-time CDF of one policy at 0, tau, 2*tau, ... until the
     tail drops below the cutoff, as a generator of its survival passes; it
     raises TailCapError if that never happens within the cap.
 
-    Each batch of epochs is one pass at the levels h2 alone: the generator
-    yields the pass's times and the levels, and is sent back 1 - survival
-    at those times. Where the wear-only bound shows that the ladder ends within
-    _FIRST_BATCH epochs, the first batch holds exactly those epochs, so the
-    ladder takes one pass; otherwise the batches hold 8, 16, 32 and then 64
-    epochs. Returns the ladder. The failure-time CDF at the same epochs
-    comes from the model's failure law (see _downtime_from_ladder).
+    Each pass takes the epochs of _next_batch at the levels h2 alone: the
+    generator yields the pass's times and the levels, and is sent back
+    1 - survival at those times. So a ladder of up to _BATCH epochs is one
+    pass unless the term cap halves it, and no pass asks for an epoch past
+    the wear-only bound's end. Returns the ladder. The failure-time CDF at
+    the same epochs comes from the model's failure law.
     """
     h2 = as_thresholds(model, policy.h2)
-    tau = policy.tau
     ladder = [0.0]
-    k = 0
-    batch = _wear_bound_end(model, h2, tau, tail) or 8
     while True:
+        k = len(ladder) - 1
         if k + 1 > tail.k_max_cap:
             raise TailCapError(
                 f"detection not reached after {tail.k_max_cap} inspections "
                 f"(tail eps {tail.k_tail_eps}); the policy may never trigger"
             )
-        ks = range(k + 1, min(k + batch, tail.k_max_cap) + 1)
-        cdfs = yield np.array([j * tau for j in ks]), h2
+        cdfs = yield _next_batch(model, h2, policy.tau, k, trunc, tail), h2
         for f_k in cdfs:
-            k += 1
             ladder.append(float(f_k))
             if 1.0 - f_k < tail.k_tail_eps:
                 return ladder
-        batch = min(batch * 2, 64)
 
 
 def _cdf_ladders(
@@ -181,7 +182,7 @@ def _cdf_ladders(
             outcomes[i] = error
 
     for i, policy in enumerate(policies):
-        advance(i, _ladder_passes(model, policy, tail), None)
+        advance(i, _ladder_passes(model, policy, trunc, tail), None)
     while asks:
         round_ = [(i, *asks.pop(i)) for i in list(asks)]
         if len(round_) == 1:
@@ -232,22 +233,18 @@ def _downtime_from_ladder(tau: float, ladder: list[float], law: FailureLaw) -> f
     """Sum over inspection intervals of the detection mass of interval k
     (the residual tail on the last one) times the Stieltjes integral of
     (k*tau - t) against the failure-time CDF, which law gives at the
-    epochs, at the probe and at every quadrature node.
+    epochs and at every quadrature node.
 
     Each interval integral is rewritten by parts as the area under the CDF
     minus a boundary term; differentiating a CDF built from truncated
     series would amplify the truncation noise. The per-interval areas are
     evaluated together as one composite integral of the weight step
-    function times the CDF, with mesh breakpoints at the inspection epochs,
-    so one refinement round covers many intervals at once. Intervals where
-    the CDF barely rises are provably negligible and are clipped off.
-
-    Where the failure CDF at the probe tau/128 is over an eighth of its
-    value at tau, most of its rise over the first interval lies in a layer
-    near zero that one panel [0, tau] cannot see. That interval is then
-    graded by halves, with edges tau 2^-27, ..., tau/4, tau/2, so that no
-    panel spans more than a factor of 2 in t above tau 2^-27, and
-    refinement then finds the layer in one or two rounds.
+    function times the CDF. Its panels are the inspection intervals cut at
+    the law's own panel edges, so that on each the integrand is one
+    Chebyshev piece of degree 23, which the 15-point Kronrod rule
+    integrates exactly; refinement is left for a law that ends early and
+    reads direct passes past its end. Intervals where the CDF barely rises
+    are provably negligible and are clipped off.
     """
     weights = np.diff(np.array(ladder))
     weights[-1] += 1.0 - ladder[-1]
@@ -270,11 +267,9 @@ def _downtime_from_ladder(tau: float, ladder: list[float], law: FailureLaw) -> f
     chunk = 256
     for start in range(k_first, k_last + 1, chunk):
         stop = min(start + chunk - 1, k_last)
-        edges = [k * tau for k in range(start - 1, stop + 1)]
-        # the probe at tau/128 decides whether to grade toward zero (see above)
-        if start == 1 and law(np.array([tau / 128.0]))[0] > f1_at[1] / 8.0:
-            edges = edges[:1] + [tau * 0.5**j for j in range(27, 0, -1)] + edges[1:]
-        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        epochs = [k * tau for k in range(start - 1, stop + 1)]
+        edges = np.union1d(epochs, law.edges[(law.edges > epochs[0]) & (law.edges < epochs[-1])])
+        lo, hi = edges[:-1], edges[1:]
         # called through this module's name, which perfbench/tracing.py wraps
         area += adaptive_integrate(weighted_cdf, lo, hi, weighted_cdf(kronrod_nodes(lo, hi)))
     return max(area - tau * boundary, 0.0)

@@ -53,8 +53,8 @@ class SimulationConfig:
     """Replication count, seeding, and crossing resolution.
 
     sub_step is the cycle simulator's crossing resolution; None resolves to
-    tau/1024. First-passage curves do not use it: they are exact at their
-    grid points.
+    tau/1024 (see resolved_sub_step). First-passage curves do not use it:
+    they are exact at their grid points.
     """
 
     replications: int = 100_000
@@ -73,6 +73,10 @@ class SimulationConfig:
             raise DomainError(f"sub_step must be positive, got {self.sub_step}")
         if self.horizon_cap < 1:
             raise DomainError("horizon_cap must be at least 1")
+
+    def resolved_sub_step(self, tau: float) -> float:
+        """The crossing resolution of cycles inspected every tau hours."""
+        return self.sub_step if self.sub_step is not None else tau / 1024.0
 
 
 class CycleOutcome(NamedTuple):
@@ -279,7 +283,7 @@ def _simulate_columns(
     same order; failure_time is inf where a cycle ended preventively."""
     h2 = np.array(as_thresholds(model, policy.h2))[:, None]
     tau = policy.tau
-    sub_step = config.sub_step if config.sub_step is not None else tau / 1024.0
+    sub_step = config.resolved_sub_step(tau)
     blocks = []
     for rng, size in _blocks(config):
         levels = np.zeros((model.n, size))

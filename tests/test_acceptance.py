@@ -395,8 +395,11 @@ def test_criterion_5_downtime_formula_audit(report_dir):
         tau = float(f"{tau_at_quantile(model, 0.6):.10g}")
         policy = Policy(tau=tau, h2=tuple(0.55 * c.h1 for c in model.components))
         closed_form = expected_downtime(model, policy)
+        # at 120,000 cycles seed 201's gap (about -0.043 h) reads near -6
+        # stderr, so that its flag does not turn on the draw order as it did
+        # near the 3 stderr line at 30,000
         outcomes = simulate_many(
-            model, policy, SimulationConfig(replications=30_000, seed=seed)
+            model, policy, SimulationConfig(replications=120_000, seed=seed)
         )
         downtimes = np.array([o.downtime for o in outcomes])
         mc_mean = float(downtimes.mean())

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cbmopt import cli
 from cbmopt.cli import _bound_warning, build_parser, main, parse_config
 from cbmopt.errors import ConfigError
 from cbmopt.simulator import SimulationConfig
@@ -228,6 +229,27 @@ class TestEvaluateCommand:
         gap = report["outputs"]["downtime_gap"]
         assert 3.0 * report["outputs"]["downtime_gap_stderr"] < gap < 24.0 / 1024.0
         assert report["warnings"] == []
+
+    def test_late_detection_band_follows_the_simulators_sub_step_rule(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the band's late-detection bound reads the simulator's own default
+        # sub_step rule, so changing that rule moves the band with it
+        bands = []
+        gap_warning = cli._gap_warning
+
+        def spy(name, gap, stderr, late):
+            bands.append((name, late))
+            return gap_warning(name, gap, stderr, late)
+
+        monkeypatch.setattr(cli, "_gap_warning", spy)
+        monkeypatch.setattr(SimulationConfig, "resolved_sub_step", lambda self, tau: tau / 8.0)
+        code = main(["evaluate", "--config", write_config(tmp_path, small_config())])
+        assert code == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        preventive = outputs["simulation"]["preventive_fraction"]
+        # the report keeps 12 significant digits; tau/1024 would read 128 times less
+        assert bands[-1] == ("downtime", pytest.approx(6.0 / 8.0 * (1.0 - preventive), rel=1e-9))
 
     def test_single_replication_skips_the_cross_check_with_a_warning(self, tmp_path, capsys):
         payload = small_config()

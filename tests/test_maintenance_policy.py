@@ -6,13 +6,15 @@ regime where the closed-form expression is unambiguous (detection and
 failure thresholds equal, failure mass concentrated in one interval).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from numpy.polynomial import chebyshev
+from scipy import integrate, special
 
 from cbmopt import maintenance_policy, system_reliability
 from cbmopt.errors import CbmError, DomainError, TailCapError, TruncationCapError
@@ -24,7 +26,7 @@ from cbmopt.maintenance_policy import (
     DEFAULT_TAIL,
     SeriesTailConfig,
     _cdf_ladder,
-    _wear_bound_end,
+    _ladder_passes,
     cost_rate,
     expected_downtime,
     expected_inspections,
@@ -54,6 +56,59 @@ def tau_at_quantile(model, q):
         else:
             hi = mid
     return hi
+
+
+def wear_bound_end(system, h2, tau):
+    """The first epoch k at which the wear-only bound
+    prod_i P(wear_i(k*tau) <= h2_i) is below the tail cutoff."""
+    n = 64
+    while True:
+        t = tau * np.arange(1, n + 1)
+        bound = np.prod([special.gammainc(c.alpha * t, c.beta * h)
+                         for c, h in zip(system.components, h2)], axis=0)
+        below = np.flatnonzero(bound < DEFAULT_TAIL.k_tail_eps)
+        if below.size:
+            return int(below[0]) + 1
+        n *= 2
+
+
+def lone_ladder(system, policy):
+    """The epochs that each survival pass of a policy's ladder asks for, and
+    the ladder, each pass made alone as cost_rate makes it for one policy."""
+    passes, asked = _ladder_passes(system, policy, None, DEFAULT_TAIL), []
+    try:
+        epochs, h2 = next(passes)
+        while True:
+            asked.append(epochs)
+            epochs, h2 = passes.send(1.0 - series_survival_over_times(system, epochs, h2))
+    except StopIteration as done:
+        return asked, done.value
+
+
+def law_downtime(system, policy):
+    """E[rho] from the failure law's own Chebyshev pieces, each integrated
+    exactly by chebint, over the intervals that the significance clip keeps;
+    and the number of those intervals."""
+    law, tau = failure_law(system), policy.tau
+    ladder = _cdf_ladder(system, policy, None, None)
+    weights = np.diff(ladder)
+    weights[-1] += 1.0 - ladder[-1]
+    weights = np.maximum(weights, 0.0)
+    f_at = np.concatenate([[0.0], law(tau * np.arange(1, len(ladder)))])
+    kept = np.flatnonzero(weights * tau * np.diff(f_at) >= 1e-13 * tau)
+    edges, total = law.edges, 0.0
+    for k in range(kept[0] + 1, kept[-1] + 2):
+        a, b = (k - 1) * tau, k * tau
+        area = max(b - max(a, law.horizon), 0.0)  # F_f is 1 past the horizon
+        for p in range(max(np.searchsorted(edges, a, side="right") - 1, 0), edges.size - 1):
+            lo, hi = edges[p], edges[p + 1]
+            if lo >= b:
+                break
+            x = (2.0 * np.clip([a, b], lo, hi) - lo - hi) / (hi - lo)
+            antiderivative = chebyshev.chebint(law.coeffs[:, p])
+            area += 0.5 * (hi - lo) * np.diff(chebyshev.chebval(x, antiderivative))[0]
+        total += weights[k - 1] * (area - tau * f_at[k - 1])
+    return total, kept[-1] - kept[0] + 1
 
 
 class TestValidation:
@@ -212,7 +267,7 @@ class TestCostRate:
             # table 2, h2 at half of h1: ladders of 206 and 101 inspection epochs
             ("table2", 0.004, (10.866207890558453, 9.3197335948154436e-05, 2593.5946501509447)),
             ("table2", 0.0082, (5.5691687076236551, 0.00039667134477322768, 2485.4301742822158)),
-            # random systems, h2 at 0.6 of h1: 12 and 15 epochs, past the first batch of 8
+            # random systems, h2 at 0.6 of h1: ladders of 12 and 15 epochs
             ((3, 3), 1.0, (2.8183070474332097, 0.070742627481667264, 36.916167593126325)),
             ((4, 2), 1.0, (4.0951643431689799, 0.04919593814888587, 24.139188932119421)),
         ],
@@ -296,19 +351,48 @@ class TestCostRate:
 
 
 @pytest.mark.usefixtures("cold_law")
-class TestFirstBatch:
-    @pytest.mark.parametrize("seed, n, tau", [(3, 3, 1.0), (1, 3, 5.0), (3, 3, 5.0)])
-    def test_short_ladder_costs_one_survival_pass(self, monkeypatch, seed, n, tau):
-        # the ladder (3 to 12 epochs) fits the first batch, and once the
-        # model's failure law is built the downtime integral makes no pass
-        system = random_system(np.random.default_rng(seed), n)
+class TestLadderPasses:
+    @pytest.mark.parametrize(
+        "case, tau, ladder_passes",
+        [(3, 1.0, 1), (1, 5.0, 1), (3, 5.0, 1), ("table2", 0.0082, 2)],
+    )
+    def test_warm_call_makes_only_its_ladders_passes(self, monkeypatch, case, tau, ladder_passes):
+        # the random systems' ladders (3 to 12 epochs) fit one batch, table
+        # 2's 103 epochs take two; once the model's failure law is built the
+        # downtime integral makes no pass
+        if case == "table2":
+            system, costs = table2_system(), CostParams(1.0, 20000.0, 100.0)
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+            costs = CostParams(1.0, 300.0, 80.0)
         policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
-        end = _wear_bound_end(system, policy.h2, tau, DEFAULT_TAIL)
-        assert end is not None and len(_cdf_ladder(system, policy, None, None)) - 1 <= end
+        asked, ladder = lone_ladder(system, policy)
+        assert len(asked) == ladder_passes == math.ceil((len(ladder) - 1) / 64)
         failure_law(system)
         passes = count_passes(monkeypatch)
-        cost_rate(system, policy, CostParams(1.0, 300.0, 80.0))
-        assert len(passes) == 1
+        cost_rate(system, policy, costs)
+        assert len(passes) == ladder_passes
+
+    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4, 5, 6, 7, 8])
+    def test_passes_end_by_the_wear_only_bound(self, case):
+        # a ladder of up to 64 epochs is one pass, and no pass asks for an
+        # epoch past the first where the wear-only bound is below the cutoff
+        if case == "table2":
+            system = table2_system()
+        elif case == "table3":
+            system = table3_system()
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+        for tau in np.geomspace(1e-3, 1e2, 6):
+            for frac in (0.05, 0.3, 0.6, 0.95):
+                h2 = tuple(frac * c.h1 for c in system.components)
+                asked, ladder = lone_ladder(system, Policy(tau=tau, h2=h2))
+                end = wear_bound_end(system, h2, tau)
+                assert len(ladder) - 1 <= end
+                assert all(epochs[-1] <= end * tau for epochs in asked)
+                assert [len(epochs) for epochs in asked[:-1]] == [64] * (len(asked) - 1)
+                if len(ladder) - 1 <= 64:
+                    assert len(asked) == 1
 
     @pytest.mark.parametrize(
         "case, tau, most",
@@ -369,16 +453,17 @@ class TestFirstBatch:
     @pytest.mark.parametrize(
         "case, tau, expected",
         [
-            # a 12-epoch ladder inside the first batch
+            # a 12-epoch ladder: one pass
             ((3, 3), 1.0,
              ("0x1.68be490b67ee5p+1", "0x1.21c30577784e8p-4", "0x1.27544facd10f7p+5")),
             # table 2, h2 at half of h1: a 206-epoch ladder
             ("table2", 0.004,
              ("0x1.5bb7f99c2f8aep+3", "0x1.86e5e0a360200p-14", "0x1.4433075fc0dbdp+11")),
-            # probe at 1.0: the graded mesh toward zero
+            # the failure CDF rises near 0, on the law's graded panels
             ("table2", 120.0,
              ("0x1.0000000000000p+0", "0x1.dfd199e35bdedp+6", "0x1.386528b88dadap+14")),
-            # an 823-epoch ladder: downtime in several 256-interval chunks
+            # an 823-epoch ladder: downtime in four chunks of up to 256
+            # intervals
             ("table2", 0.001,
              ("0x1.4f7a92dc2c995p+5", "0x1.82f2531fb9980p-18", "0x1.a76cd7f766f9dp+11")),
         ],
@@ -395,6 +480,42 @@ class TestFirstBatch:
         b = cost_rate(system, policy, costs)
         frozen = tuple(float.fromhex(v) for v in expected)
         assert (b.e_ni, b.e_rho, b.cr) == pytest.approx(frozen, rel=1e-10)
+
+
+class TestDowntimeMesh:
+    @pytest.mark.parametrize(
+        "case, tau",
+        [
+            ("table2", 0.001), ("table2", 0.0082), ("table2", 24.0), ("table2", 120.0),
+            ("table3", 24.0), (1, 0.3), (2, 5.0), (3, 20.0), (4, 100.0),
+        ],
+    )
+    def test_law_panels_need_no_refinement(self, monkeypatch, case, tau):
+        # on the inspection intervals cut at a complete law's panel edges the
+        # integrand is one degree-23 Chebyshev piece per panel, which the
+        # 15-point Kronrod rule integrates exactly: the integrand is called
+        # once per chunk of up to 256 intervals, for its first panels only
+        if case == "table2":
+            system, costs = table2_system(), CostParams(1.0, 20000.0, 100.0)
+        elif case == "table3":
+            system, costs = table3_system(), CostParams(1.0, 20000.0, 100.0)
+        else:
+            system = random_system(np.random.default_rng(case), 3)
+            costs = CostParams(1.0, 300.0, 80.0)
+        assert failure_law(system).complete
+        policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
+        chunks, refinements = [], []
+
+        def counted(f, lo, hi, y):
+            chunks.append(lo.size)
+            return integrate_panels(lambda x: refinements.append(x.size) or f(x), lo, hi, y)
+
+        integrate_panels = maintenance_policy.adaptive_integrate
+        monkeypatch.setattr(maintenance_policy, "adaptive_integrate", counted)
+        e_rho = cost_rate(system, policy, costs).e_rho
+        reference, intervals = law_downtime(system, policy)
+        assert len(chunks) == math.ceil(intervals / 256) and refinements == []
+        assert e_rho == pytest.approx(reference, rel=1e-12)
 
 
 class TestStackedCostRate:
@@ -490,6 +611,24 @@ class TestStackedCostRate:
         assert isinstance(entry, TailCapError)
 
 
+def test_batch_is_halved_to_what_the_shock_count_series_reaches():
+    # at 5 shocks an hour the 12 epochs before the wear-only bound's end need
+    # more shock terms than the cap allows, though the ladder ends at the
+    # 4th: the pass is halved until its last epoch is within reach
+    system = dataclasses.replace(random_system(np.random.default_rng(1), 3), lam=5.0)
+    policy = Policy(tau=2.15, h2=tuple(0.95 * h for h in system.h1_vector))
+    assert wear_bound_end(system, policy.h2, policy.tau) == 12
+    with pytest.raises(TruncationCapError):
+        series_survival_over_times(system, [12 * policy.tau], policy.h2)
+    asked, ladder = lone_ladder(system, policy)
+    assert [len(epochs) for epochs in asked] == [6] and len(ladder) == 5
+    for epoch, f_k in zip(asked[0], ladder[1:]):
+        direct = 1.0 - series_survival_over_times(system, [epoch], policy.h2)[0]
+        assert f_k == pytest.approx(direct, abs=1e-13)
+    breakdown = cost_rate(system, policy, CostParams(1.0, 300.0, 80.0))
+    assert math.isfinite(breakdown.e_rho) and breakdown.e_ni == expected_inspections(system, policy)
+
+
 @pytest.mark.parametrize("case", ["table2", 3])
 def test_breakdowns_do_not_depend_on_call_order(cold_law, case):
     # every failure-CDF value comes from a law built whole on first use, so
@@ -516,11 +655,6 @@ def test_breakdowns_do_not_depend_on_call_order(cold_law, case):
 def test_ladder_never_outlasts_the_wear_only_bound(seed, n, tau, frac):
     system = random_system(np.random.default_rng(seed), n)
     policy = Policy(tau=tau, h2=tuple(frac * c.h1 for c in system.components))
-    end = _wear_bound_end(system, policy.h2, tau, DEFAULT_TAIL)
-    try:
-        ladder = _cdf_ladder(system, policy, None, None)
-    except TailCapError:
-        assert end is None
-        return
-    if end is not None:
-        assert len(ladder) - 1 <= end
+    end = wear_bound_end(system, policy.h2, tau)
+    asked, ladder = lone_ladder(system, policy)
+    assert len(ladder) - 1 <= end and asked[-1][-1] <= end * tau

@@ -193,8 +193,9 @@ class TestAdaptiveIntegrate:
         assert integrate(np.sin, [0.0, math.pi]) == pytest.approx(2.0, rel=1e-11)
 
     def test_integrable_endpoint_singularity(self):
-        # the downtime integral meets a thin layer at t = 0 on a mesh graded
-        # toward it; endpoints are never evaluated
+        # the downtime integral's panels, cut at the failure law's edges,
+        # are graded by halves toward a thin layer at t = 0; endpoints are
+        # never evaluated
         edges = [0.0] + [0.5**j for j in range(27, -1, -1)]
         assert integrate(lambda x: x**-0.6, edges) == pytest.approx(2.5, rel=1e-8)
 
