@@ -203,12 +203,17 @@ def _cdf_ladders(
     return outcomes
 
 
-def _cdf_ladder(model, policy, trunc, tail):
-    """The ladder of one policy; raises what building it raised."""
-    [outcome] = _cdf_ladders(model, [policy], trunc, tail)
+def _only(outcomes: list):
+    """The one entry of a list of outcomes; raises it if it is a CbmError."""
+    [outcome] = outcomes
     if isinstance(outcome, CbmError):
         raise outcome
     return outcome
+
+
+def _cdf_ladder(model, policy, trunc, tail):
+    """The ladder of one policy; raises what building it raised."""
+    return _only(_cdf_ladders(model, [policy], trunc, tail))
 
 
 def _inspections_from_ladder(ladder: list[float]) -> float:
@@ -229,47 +234,77 @@ def expected_inspections(
     return _inspections_from_ladder(_cdf_ladder(model, policy, trunc, tail))
 
 
-def _downtime_from_ladder(tau: float, ladder: list[float], law: FailureLaw) -> float:
-    """Sum over inspection intervals of the detection mass of interval k
-    (the residual tail on the last one) times the Stieltjes integral of
-    (k*tau - t) against the failure-time CDF, which law gives at the
-    epochs and at every quadrature node.
+def _downtimes(taus: list[float], ladders: list, law: FailureLaw) -> list:
+    """E[rho] of each policy from its tau and ladder: the sum over
+    inspection intervals k of the detection mass of interval k (the
+    residual tail on the last one) times the Stieltjes integral of
+    (k*tau - t) against the failure-time CDF. Returns per policy its
+    E[rho] or a CbmError: its ladder's, or one that its own reads raised.
 
     Each interval integral is rewritten by parts as the area under the CDF
     minus a boundary term; differentiating a CDF built from truncated
-    series would amplify the truncation noise. The per-interval areas are
-    evaluated together as one composite integral of the weight step
-    function times the CDF. Its panels are the inspection intervals cut at
-    the law's own panel edges, so that on each the integrand is one
-    Chebyshev piece of degree 23, which the 15-point Kronrod rule
-    integrates exactly; refinement is left for a law that ends early and
-    reads direct passes past its end. Intervals where the CDF barely rises
-    are provably negligible and are clipped off.
+    series would amplify the truncation noise. The intervals are cut at
+    the law's panel edges, so one law evaluation gives every policy's CDF
+    at its epochs and the exact area of each piece (see
+    FailureLaw.cdf_and_areas). Intervals where the CDF barely rises are
+    provably negligible and are clipped off. A policy that reaches an
+    incomplete law's end reads its epochs from one direct pass of its own,
+    and integrates its pieces past the end adaptively on direct passes.
     """
+    plans, times, los, his = [], [], [], []
+    for tau, ladder in zip(taus, ladders):
+        if isinstance(ladder, CbmError):
+            plans.append(ladder)
+            continue
+        epochs = tau * np.arange(len(ladder))
+        mesh = np.union1d(epochs, law.edges[1 : np.searchsorted(law.edges, epochs[-1])])
+        past_end = not law.complete and epochs[-1] >= law.horizon
+        # the pieces that start before an incomplete law's end read the law
+        on_law = int(np.searchsorted(mesh[:-1], law.horizon)) if past_end else mesh.size - 1
+        plans.append((tau, ladder, epochs, mesh, on_law, past_end))
+        times.append(np.empty(0) if past_end else epochs[1:])
+        los.append(mesh[:on_law])
+        his.append(mesh[1 : on_law + 1])
+    if not times:  # every ladder failed
+        return plans
+    cdfs, areas = law.cdf_and_areas(*(np.concatenate(parts) for parts in (times, los, his)))
+    cdfs = iter(np.split(cdfs, np.cumsum([part.size for part in times])[:-1]))
+    areas = iter(np.split(areas, np.cumsum([part.size for part in los])[:-1]))
+    outcomes = []
+    for plan in plans:
+        if isinstance(plan, CbmError):
+            outcomes.append(plan)
+            continue
+        try:
+            outcomes.append(_downtime(*plan, next(cdfs), next(areas), law))
+        except CbmError as error:
+            outcomes.append(error)
+    return outcomes
+
+
+def _downtime(tau, ladder, epochs, mesh, on_law, past_end, cdf, areas, law) -> float:
+    """One policy's E[rho] from its share of the law evaluation of
+    _downtimes."""
     weights = np.diff(np.array(ladder))
     weights[-1] += 1.0 - ladder[-1]
     weights = np.maximum(weights, 0.0)
-    kmax = len(weights)
-    f1_at = np.concatenate([[0.0], law(np.array([k * tau for k in range(1, kmax + 1)]))])
-    rises = np.diff(f1_at)
-    significant = np.flatnonzero(weights * tau * rises >= 1e-13 * tau)
+    f1_at = np.concatenate([[0.0], law(epochs[1:]) if past_end else cdf])
+    significant = np.flatnonzero(weights * tau * np.diff(f1_at) >= 1e-13 * tau)
     if significant.size == 0:
         return 0.0
-    k_first = int(significant[0]) + 1
-    k_last = int(significant[-1]) + 1
+    first, last = int(significant[0]), int(significant[-1])
+    boundary = float(np.sum(weights[first : last + 1] * f1_at[first : last + 1]))
+    # the pieces of the significant intervals, and the interval of each
+    start, stop = np.searchsorted(mesh, epochs[[first, last + 1]])
+    interval = np.searchsorted(epochs, mesh[start:stop], side="right") - 1
+    split = max(min(on_law, stop), start)
+    area = float(np.sum(weights[interval[: split - start]] * areas[start:split]))
+    if split < stop:
 
-    def weighted_cdf(ts):
-        k_of_t = np.minimum((ts / tau).astype(int), kmax - 1)
-        return weights[k_of_t] * law(ts)
+        def weighted_cdf(ts):
+            return weights[np.minimum((ts / tau).astype(int), len(weights) - 1)] * law(ts)
 
-    boundary = float(np.sum(weights[k_first - 1 : k_last] * f1_at[k_first - 1 : k_last]))
-    area = 0.0
-    chunk = 256
-    for start in range(k_first, k_last + 1, chunk):
-        stop = min(start + chunk - 1, k_last)
-        epochs = [k * tau for k in range(start - 1, stop + 1)]
-        edges = np.union1d(epochs, law.edges[(law.edges > epochs[0]) & (law.edges < epochs[-1])])
-        lo, hi = edges[:-1], edges[1:]
+        lo, hi = mesh[split:stop], mesh[split + 1 : stop + 1]
         # called through this module's name, which perfbench/tracing.py wraps
         area += adaptive_integrate(weighted_cdf, lo, hi, weighted_cdf(kronrod_nodes(lo, hi)))
     return max(area - tau * boundary, 0.0)
@@ -284,7 +319,7 @@ def expected_downtime(
     """Expected downtime per cycle from the literal closed-form expression
     (see the module docstring for its caveat)."""
     ladder = _cdf_ladder(model, policy, trunc, tail)
-    return _downtime_from_ladder(policy.tau, ladder, failure_law(model, trunc))
+    return _only(_downtimes([policy.tau], [ladder], failure_law(model, trunc)))
 
 
 def _breakdowns(
@@ -307,16 +342,11 @@ def _breakdowns(
             for policy in policies
             for outcome in _breakdowns(model, [policy], costs, trunc, tail)
         ]
-    law = failure_law(model, trunc)
+    downtimes = _downtimes([policy.tau for policy in policies], ladders, failure_law(model, trunc))
     outcomes = []
-    for policy, ladder in zip(policies, ladders):
-        if isinstance(ladder, CbmError):
-            outcomes.append(ladder)
-            continue
-        try:
-            e_rho = _downtime_from_ladder(policy.tau, ladder, law)
-        except CbmError as error:
-            outcomes.append(error)
+    for policy, ladder, e_rho in zip(policies, ladders, downtimes):
+        if isinstance(e_rho, CbmError):
+            outcomes.append(e_rho)
             continue
         e_ni = _inspections_from_ladder(ladder)
         e_k = policy.tau * e_ni
@@ -335,16 +365,17 @@ def cost_rate(
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
     E[N_I] and E[rho] share one ladder of detection-CDF values, built in
-    survival passes at the levels h2 alone. Every failure-CDF value, at
-    the epochs and in the downtime integral, comes from the model's
-    failure law (see system_reliability.failure_law), which the first call
-    on a model builds and later calls reuse; so a call on a model whose
-    law is built makes only its ladder's passes.
+    survival passes at the levels h2 alone. Every failure-CDF value and
+    downtime area comes from the model's failure law (see
+    system_reliability.failure_law), which the first call on a model
+    builds and later calls reuse; so a call on a model whose law is built
+    makes only its ladder's passes, and one law evaluation.
 
     policy may also be a sequence of policies. Their ladders are built
     together, each round one survival pass over the next batch of every
-    ladder still open, while each downtime integral stays with its own
-    policy. Each ladder is one segment of the pass (see
+    ladder still open, and one law evaluation gives the failure CDF at
+    every policy's epochs and the areas of its downtime pieces (see
+    _downtimes). Each ladder is one segment of the pass (see
     series_survival_over_times), with its own shock-count cutoff and
     mixture stop, so the result, a list of one entry per policy, holds bit
     for bit what single calls give: the policy's CostBreakdown or the
@@ -352,8 +383,5 @@ def cost_rate(
     whole pass; the policies are then evaluated again one at a time.
     """
     if isinstance(policy, Policy):
-        [outcome] = _breakdowns(model, [policy], costs, trunc, tail)
-        if isinstance(outcome, CbmError):
-            raise outcome
-        return outcome
+        return _only(_breakdowns(model, [policy], costs, trunc, tail))
     return _breakdowns(model, list(policy), costs, trunc, tail)

@@ -1,5 +1,6 @@
-"""The negligible gamma shape test and the downtime integral's adaptive
-Gauss-Kronrod quadrature.
+"""The negligible gamma shape test and the adaptive Gauss-Kronrod
+quadrature of the downtime pieces that lie past an incomplete failure
+law's end, where the failure CDF comes from direct passes.
 
 The quadrature refines by splitting each panel whose error is too large
 into 4 equal panels, not 2, and counts its budget in panels added (3 per

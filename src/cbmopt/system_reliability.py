@@ -11,7 +11,8 @@ probability into a product inside the shock-count sum.
 The failure-time CDF depends on the model alone, not on a policy, so
 failure_law builds it once per model as a piecewise-Chebyshev interpolant
 (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
-chapters 3 and 19) and caches it; every consumer of F_f reads it there.
+chapters 3 and 19), with each panel's antiderivative, and caches it; every
+consumer of F_f and of its integrals reads it there.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy import special
 
 from .errors import DomainError, TruncationCapError
@@ -153,7 +155,8 @@ _TO_COEFFS[0] /= 2.0
 class FailureLaw:
     """The failure-time CDF F_f(t) = 1 - S(t; h1) of one model and
     truncation rule, as a piecewise-Chebyshev interpolant; call it on a time
-    array.
+    array, or read F_f and its integrals over the pieces of a mesh cut at
+    its edges with cdf_and_areas.
 
     Each refinement level evaluates its new panels' points in one survival
     pass, which also carries the horizon so that every level takes the
@@ -205,21 +208,50 @@ class FailureLaw:
         self.edges = np.append(starts[order], reach)
         # one column per panel, so that a gather gives one row per degree
         self.coeffs = coeffs[order].T.copy()
+        # each panel's antiderivative G_p(t), the integral of F_f from the
+        # panel's start edges[p] to t, in the same basis; one table holds
+        # F_f's columns, padded with a zero top degree, then G_p's
+        antiderivatives = chebyshev.chebint(self.coeffs, lbnd=-1.0) * (0.5 * np.diff(self.edges))
+        self._table = np.hstack([np.pad(self.coeffs, ((0, 1), (0, 0))), antiderivatives])
 
     def __call__(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=float)
         if not self.complete and t.size and t.max() >= self.horizon:
             survival = series_survival_over_times(self.model, t.ravel(), self.model.h1_vector, self.trunc)
             return 1.0 - survival.reshape(t.shape)
-        panel = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
-        lo, hi = self.edges[panel], self.edges[panel + 1]
-        x2 = 2.0 * np.clip((2.0 * t - lo - hi) / (hi - lo), -1.0, 1.0)
-        # Clenshaw's recurrence, one step per coefficient for every time
-        c = self.coeffs[:, panel]
+        cdf, _ = self.cdf_and_areas(t.ravel(), (), ())
+        return cdf.reshape(t.shape)
+
+    def cdf_and_areas(self, times, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """F_f at one-dimensional times, and its integral over each piece
+        [lo, hi], from one Clenshaw pass.
+
+        Each piece lies in one panel p of the law, or at or past its
+        horizon, as the pieces of a mesh cut at self.edges do. Its integral
+        is G_p(hi) - G_p(lo), a difference at the panel's own scale with no
+        quadrature (Trefethen, ATAP, chapter 19). Past the horizon F_f is
+        1, as a complete law has it, so a piece there has the area hi - lo.
+        Only the Chebyshev pieces are read: what lies at or past an
+        incomplete law's end is for __call__, which reads a direct pass.
+        """
+        t, lo, hi = (np.asarray(v, dtype=float) for v in (times, lo, hi))
+        points = np.concatenate([t, lo, hi])
+        # each point's panel (the first or last for points outside the law)
+        # and its table column: F_f's for the times, G_p's for both ends
+        # of a piece, in the piece's panel
+        panel = np.searchsorted(self.edges[1:-1], np.concatenate([t, lo, lo]), side="right")
+        columns = panel + np.repeat([0, self.coeffs.shape[1]], [t.size, 2 * lo.size])
+        start, end = self.edges[panel], self.edges[panel + 1]
+        x2 = 2.0 * np.clip((2.0 * points - start - end) / (end - start), -1.0, 1.0)
+        # Clenshaw's recurrence, one step per coefficient for every point
+        c = self._table[:, columns]
         b1, b2 = c[-1], 0.0
         for c_k in c[-2:0:-1]:
             b1, b2 = c_k + x2 * b1 - b2, b1
-        return np.where(t >= self.horizon, 1.0, np.clip(c[0] + 0.5 * x2 * b1 - b2, 0.0, 1.0))
+        values = c[0] + 0.5 * x2 * b1 - b2
+        cdf = np.where(t >= self.horizon, 1.0, np.clip(values[: t.size], 0.0, 1.0))
+        at_lo, at_hi = np.split(values[t.size :], 2)
+        return cdf, np.where(lo >= self.horizon, hi - lo, at_hi - at_lo)
 
 
 def _law_horizon(model: SystemModel, trunc: TruncationConfig) -> tuple[float, bool]:

@@ -17,8 +17,8 @@ from numpy.polynomial import chebyshev
 from scipy import integrate, special
 
 from cbmopt import maintenance_policy, system_reliability
-from cbmopt.errors import CbmError, DomainError, TailCapError, TruncationCapError
-from cbmopt.failure_model import SystemModel, TruncationConfig
+from cbmopt.errors import CbmError, DomainError, IntegrationError, TailCapError, TruncationCapError
+from cbmopt.failure_model import ComponentParams, SystemModel, TruncationConfig
 from cbmopt.maintenance_policy import (
     CostBreakdown,
     CostParams,
@@ -87,8 +87,8 @@ def lone_ladder(system, policy):
 
 def law_downtime(system, policy):
     """E[rho] from the failure law's own Chebyshev pieces, each integrated
-    exactly by chebint, over the intervals that the significance clip keeps;
-    and the number of those intervals."""
+    exactly by chebint, over the intervals that the significance clip
+    keeps."""
     law, tau = failure_law(system), policy.tau
     ladder = _cdf_ladder(system, policy, None, None)
     weights = np.diff(ladder)
@@ -108,7 +108,7 @@ def law_downtime(system, policy):
             antiderivative = chebyshev.chebint(law.coeffs[:, p])
             area += 0.5 * (hi - lo) * np.diff(chebyshev.chebval(x, antiderivative))[0]
         total += weights[k - 1] * (area - tau * f_at[k - 1])
-    return total, kept[-1] - kept[0] + 1
+    return total
 
 
 class TestValidation:
@@ -326,16 +326,18 @@ class TestCostRate:
             assert b.e_rho == expected_downtime(system, policy)
 
     def test_downtime_integral_runs_through_the_module_name(self, monkeypatch):
-        # the quadrature is called through maintenance_policy's attribute,
-        # so a wrapper put there (as the benchmark's tracer does) sees it
-        bench = table2_system()
-        system = random_system(np.random.default_rng(1), 3)
-        cases = [
-            (bench, Policy(tau=0.0082, h2=tuple(0.5 * c.h1 for c in bench.components))),
-            (system, Policy(tau=5.0, h2=tuple(0.5 * c.h1 for c in system.components))),
-        ]
+        # past an incomplete law's end F_f is read from direct passes, and
+        # the quadrature that integrates it there is called through
+        # maintenance_policy's attribute, so a wrapper put there (as the
+        # benchmark's tracer does) sees it; the model is the rate-ratio-0.01
+        # one whose gamma-sum mixture ends its law early
+        c = ComponentParams("x", 1.0, 3.0, 1.0, 10.0, 10.0, 1000.0, 1.0, 0.3)
+        system = SystemModel(components=(c,), lam=0.01)
+        law = failure_law(system)
+        assert not law.complete
+        policy = Policy(tau=1.2 * law.horizon, h2=(0.0,))
         costs = CostParams(1.0, 300.0, 80.0)
-        plain = [cost_rate(s, p, costs) for s, p in cases]
+        plain = cost_rate(system, policy, costs)
         calls = []
         original = maintenance_policy.adaptive_integrate
 
@@ -344,10 +346,8 @@ class TestCostRate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(maintenance_policy, "adaptive_integrate", counted)
-        for (s, p), expected in zip(cases, plain):
-            before = len(calls)
-            assert cost_rate(s, p, costs) == expected
-            assert len(calls) > before
+        assert cost_rate(system, policy, costs) == plain
+        assert len(calls) == 1
 
 
 @pytest.mark.usefixtures("cold_law")
@@ -490,11 +490,10 @@ class TestDowntimeMesh:
             ("table3", 24.0), (1, 0.3), (2, 5.0), (3, 20.0), (4, 100.0),
         ],
     )
-    def test_law_panels_need_no_refinement(self, monkeypatch, case, tau):
-        # on the inspection intervals cut at a complete law's panel edges the
-        # integrand is one degree-23 Chebyshev piece per panel, which the
-        # 15-point Kronrod rule integrates exactly: the integrand is called
-        # once per chunk of up to 256 intervals, for its first panels only
+    def test_complete_law_needs_no_quadrature(self, monkeypatch, case, tau):
+        # on the inspection intervals cut at a complete law's panel edges
+        # each area is a difference of the panel's antiderivative, so the
+        # quadrature is never called, and E[rho] is the chebint reference
         if case == "table2":
             system, costs = table2_system(), CostParams(1.0, 20000.0, 100.0)
         elif case == "table3":
@@ -504,18 +503,70 @@ class TestDowntimeMesh:
             costs = CostParams(1.0, 300.0, 80.0)
         assert failure_law(system).complete
         policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
-        chunks, refinements = [], []
 
-        def counted(f, lo, hi, y):
-            chunks.append(lo.size)
-            return integrate_panels(lambda x: refinements.append(x.size) or f(x), lo, hi, y)
+        def refused(*args, **kwargs):
+            raise AssertionError("quadrature called on a complete law")
 
-        integrate_panels = maintenance_policy.adaptive_integrate
-        monkeypatch.setattr(maintenance_policy, "adaptive_integrate", counted)
+        monkeypatch.setattr(maintenance_policy, "adaptive_integrate", refused)
+        monkeypatch.setattr(maintenance_policy, "kronrod_nodes", refused)
         e_rho = cost_rate(system, policy, costs).e_rho
-        reference, intervals = law_downtime(system, policy)
-        assert len(chunks) == math.ceil(intervals / 256) and refinements == []
+        assert expected_downtime(system, policy) == e_rho
+        reference = law_downtime(system, policy)
         assert e_rho == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["table2", 3])
+    def test_stacked_call_evaluates_the_law_once(self, monkeypatch, case):
+        # every policy's epochs and areas come from one law evaluation,
+        # however many policies a call stacks, a failed ladder among them
+        if case == "table2":
+            system, taus = table2_system(), (0.001, 0.0082, 0.5, 24.0, 120.0)
+        else:
+            system, taus = random_system(np.random.default_rng(case), 3), (0.3, 1.0, 5.0, 20.0, 100.0)
+        costs = CostParams(1.0, 300.0, 80.0)
+        policies = [Policy(tau=tau, h2=tuple(0.6 * h for h in system.h1_vector)) for tau in taus]
+        policies.insert(2, Policy(tau=1.0, h2=(0.0,)))
+        law = failure_law(system)
+        evaluations = []
+        for name in ("__call__", "cdf_and_areas"):
+            original = getattr(system_reliability.FailureLaw, name)
+
+            def counted(*args, original=original, **kwargs):
+                evaluations.append(1)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(system_reliability.FailureLaw, name, counted)
+        counts = []
+        for stack in (policies[:1], policies):
+            before = len(evaluations)
+            entries = cost_rate(system, stack, costs)
+            counts.append(len(evaluations) - before)
+        assert counts == [1, 1] and law.complete
+        assert isinstance(entries[2], DomainError)
+        assert all(isinstance(entry, CostBreakdown) for entry in entries[:2] + entries[3:])
+
+    def test_a_policy_past_an_incomplete_laws_end_keeps_to_itself(self, monkeypatch):
+        # the rate-ratio-0.01 model's law ends early; a policy whose epoch
+        # reaches its end reads direct passes and integrates past it, while
+        # the others in the stack, whose 19 and 8 epochs stay before it,
+        # read the law as a call of their own does, and an error of that
+        # integral is that policy's entry alone
+        c = ComponentParams("x", 1.0, 3.0, 1.0, 10.0, 10.0, 1000.0, 1.0, 0.3)
+        system = SystemModel(components=(c,), lam=0.01)
+        law = failure_law(system)
+        costs = CostParams(1.0, 300.0, 80.0)
+        policies = [
+            Policy(tau=q * law.horizon, h2=(f * c.h1,)) for q, f in ((0.05, 0.05), (1.2, 0.0), (0.1, 0.02))
+        ]
+        singles = [cost_rate(system, policy, costs) for policy in policies]
+        assert cost_rate(system, policies, costs) == singles
+
+        def failing(*args, **kwargs):
+            raise IntegrationError("tolerance not met")
+
+        monkeypatch.setattr(maintenance_policy, "adaptive_integrate", failing)
+        stacked = cost_rate(system, policies, costs)
+        assert isinstance(stacked[1], IntegrationError)
+        assert [stacked[0], stacked[2]] == [singles[0], singles[2]]
 
 
 class TestStackedCostRate:

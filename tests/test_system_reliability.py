@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 from cbmopt import failure_model, system_reliability
 from cbmopt.errors import DomainError, TruncationCapError
@@ -265,6 +266,39 @@ class TestFailureLaw:
         assert law.complete
         assert series_survival_over_times(model, [law.horizon], model.h1_vector)[0] < 1e-17
         assert law_error(law, model) <= 1e-13
+
+    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4])
+    def test_panel_areas_match_direct_passes(self, case):
+        # every panel cut at an inner point into two pieces, and one piece
+        # past the horizon. 20-point Gauss-Legendre is exact for the law's
+        # degree-23 pieces, so on their values it checks the antiderivative
+        # relative to each area, and on direct passes it differs by the
+        # law's error alone, about 1e-14 times the width
+        if case == "table2":
+            model = table2_system()
+        elif case == "table3":
+            model = table3_system()
+        else:
+            model = random_system(np.random.default_rng(case), 3)
+        law = failure_law(model)
+        edges = law.edges
+        inner = edges[:-1] + 0.3 * np.diff(edges)
+        mesh = np.append(np.sort(np.concatenate([edges, inner])), 1.5 * law.horizon)
+        lo, hi = mesh[:-1], mesh[1:]
+        cdf, areas = law.cdf_and_areas(hi, lo, hi)
+        assert areas[-1] == hi[-1] - lo[-1]
+        assert np.array_equal(cdf, law(hi))
+        x, w = np.polynomial.legendre.leggauss(20)
+        half = 0.5 * (hi - lo)[:-1]
+        nodes = 0.5 * (hi + lo)[:-1, None] + half[:, None] * x
+        panel = np.searchsorted(edges, lo[:-1], side="right") - 1
+        start, end = edges[panel, None], edges[panel + 1, None]
+        pieces = chebyshev.chebval(((2.0 * nodes - start - end) / (end - start)).T, law.coeffs[:, panel], tensor=False)
+        own = (half[:, None] * pieces.T * w).sum(axis=1)
+        assert np.all(np.abs(areas[:-1] - own) <= 1e-13 * own)
+        survival = series_survival_over_times(model, nodes.ravel(), model.h1_vector)
+        direct = (half[:, None] * (1.0 - survival.reshape(nodes.shape)) * w).sum(axis=1)
+        assert np.all(np.abs(areas[:-1] - direct) <= 1e-13 * 2.0 * half)
 
     def test_cached_by_value(self):
         model = random_system(np.random.default_rng(1), 3)
