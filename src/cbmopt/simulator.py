@@ -1,19 +1,20 @@
 """Path-wise Monte Carlo engine for cycles and first-passage times.
 
-One vectorized engine, _advance, moves a block of paths between two times.
-Shocks arrive after exponential gaps; between them each component takes
-one exact gamma increment. A crossing inside such a stretch is located by
-conditional bisection: given the levels at both ends, the level at a split
-point follows a beta-scaled bridge, and monotonicity of the path keeps
-the crossing inside the bracket that bisection narrows. A path fails at
-its earliest component crossing, so each later component is bisected
-only where it comes before the earliest one found so far. The cycle
-simulator runs the engine once per inspection interval on the surviving
-paths and halves each bracket down to the configured sub-step, so a
+A block of paths runs in two steps. _advance moves the paths between two
+times: shocks arrive after exponential gaps, and between them each
+component takes one exact gamma increment; a crossing inside such a quiet
+stretch is only recorded as a bracket. _resolve then locates the block's
+crossings by conditional bisection, one _bisect per component: given the
+levels at both ends, the level at a split point follows a beta-scaled
+bridge that no other draw affects, and monotonicity of the path keeps the
+crossing inside the bracket. A path fails at its earliest crossing, so
+each later component is bisected only where it comes before the earliest
+one found so far. The cycle simulator advances a block interval by
+interval, as inspection counts never depend on where a crossing falls in
+its stretch, then halves each bracket down to the configured sub-step: a
 failure is found late by at most max(sub_step, one ulp of t), never
-early. The first-passage estimator runs it once over the whole horizon
-and splits brackets at grid points only, so its curve is exact at every
-grid point.
+early. The first-passage estimator advances once over the whole horizon
+and splits brackets at grid points only, so its curve is exact there.
 
 Replications run in fixed-size blocks, each drawing from a substream
 derived from the seed and the block index. The same seed and replication
@@ -214,21 +215,19 @@ def _advance(
     rng: np.random.Generator,
     t0: float,
     t1: float,
-    sub_step: float | None,
-    grid: np.ndarray | None = None,
+    ids: np.ndarray,
+    brackets: list[list],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the paths in the columns of levels from t0 to t1 in place.
 
     Returns each path's first failure time in (t0, t1], inf where there is
     none, and whether that failure was hard. A path's levels are only
     meaningful up to its failure time. Between shocks each component takes
-    one gamma increment; a crossing inside that quiet stretch is located by
-    _bisect, component by component, each capped at the earliest crossing
-    its path has so far: the path fails at the first one, so a later
-    component's crossing is refined only where it comes earlier. Without
-    grid the failure is reported late by at most max(sub_step, one ulp of
-    t) and never early. With grid the reported time is at most a grid
-    point exactly when the crossing is, and sub_step is unused.
+    one gamma increment. A crossing inside that quiet stretch is left for
+    _resolve: the path fails at the stretch's end for now, and component
+    i appends the bracket (ids, lo, hi, x_lo, x_hi) to brackets[i], ids
+    naming the columns. A path stops at its first stretch with a crossing,
+    so it leaves at most one bracket per component, all on that stretch.
     """
     fail = np.full(levels.shape[1], np.inf)
     hard = np.zeros(levels.shape[1], dtype=bool)
@@ -241,19 +240,14 @@ def _advance(
             shock = np.full(paths.size, np.inf)
         end = np.minimum(shock, t1)
         crossed = np.full(paths.size, np.inf)
-        capped = False  # no cap work until some path has a crossing
         for i, c in enumerate(model.components):
             before = levels[i, paths]
             after = before + rng.gamma(c.alpha * (end - t), 1.0 / c.beta)
             levels[i, paths] = after
             hit = np.flatnonzero((before < limits[i]) & (after >= limits[i]))
-            cap = crossed[hit] if capped else None
-            hi = _bisect(
-                c.alpha, limits[i], rng, t[hit], end[hit], before[hit], after[hit],
-                sub_step, grid, cap,
-            )
-            crossed[hit] = hi if cap is None else np.minimum(cap, hi)
-            capped = capped or hit.size > 0
+            if hit.size:
+                hi = crossed[hit] = end[hit]
+                brackets[i].append((ids[paths[hit]], t[hit], hi, before[hit], after[hit]))
         fail[paths] = crossed
         # a wear crossing comes before the shock that ends its stretch
         go = np.isinf(crossed) & (shock < t1)
@@ -271,6 +265,30 @@ def _advance(
         hard[paths[failed]] = lethal[failed]
         paths, t = paths[~failed], t[~failed]
     return fail, hard
+
+
+def _resolve(model, limits, rng, fail, brackets, sub_step, grid):
+    """Refine fail, indexed by the ids of _advance, at the brackets it left.
+
+    One _bisect per component, capped at the earliest crossing that the
+    earlier components found on each path: the path fails at the first
+    one, so a later component's crossing is refined only where it comes
+    earlier. A bracketed path's fail starts at its stretch's end, a cap
+    that splits nothing. Without grid the failure is reported late by at
+    most max(sub_step, one ulp of t) and never early. With grid the
+    reported time is at most a grid point exactly when the crossing is.
+    """
+    for i, c in enumerate(model.components):
+        if brackets[i]:
+            # one stretch's brackets are used without a copy, so a block
+            # whose paths cross in one stretch pays nothing for the batching
+            parts = brackets[i]
+            ids, lo, hi, x_lo, x_hi = (
+                parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            )
+            cap = fail[ids]
+            found = _bisect(c.alpha, limits[i], rng, lo, hi, x_lo, x_hi, sub_step, grid, cap)
+            fail[ids] = np.minimum(cap, found)
 
 
 _KINDS = np.array(["soft", "hard", "none"], dtype=object)
@@ -291,6 +309,7 @@ def _simulate_columns(
         inspections = np.zeros(size, dtype=np.int64)
         fail = np.full(size, np.inf)
         hard = np.zeros(size, dtype=bool)
+        brackets = [[] for _ in model.components]
         k = 0
         while paths.size:
             k += 1
@@ -299,7 +318,7 @@ def _simulate_columns(
                     f"no detection within {config.horizon_cap} inspections"
                 )
             t_fail, t_hard = _advance(
-                model, levels, model.h1_vector, rng, (k - 1) * tau, k * tau, sub_step
+                model, levels, model.h1_vector, rng, (k - 1) * tau, k * tau, paths, brackets
             )
             failed = np.isfinite(t_fail)
             fail[paths[failed]] = t_fail[failed]
@@ -307,6 +326,7 @@ def _simulate_columns(
             done = failed | (levels >= h2).any(axis=0)
             inspections[paths[done]] = k
             paths, levels = paths[~done], levels[:, ~done]
+        _resolve(model, model.h1_vector, rng, fail, brackets, sub_step, None)
         blocks.append((inspections, fail, hard))
     inspections, fail, hard = (np.concatenate(column) for column in zip(*blocks))
     preventive = np.isinf(fail)
@@ -379,9 +399,10 @@ def _estimate(columns: CycleOutcome, costs: CostParams) -> SimulationEstimate:
     rate = float(total_cost.sum() / lengths.sum())
     n = lengths.size
     if n > 1:
+        # not BLAS's dot, which wakes a thread pool past ~10,000 entries
         residuals = total_cost - rate * lengths
         stderr = float(
-            math.sqrt(float(residuals @ residuals) / (n - 1) / n) / lengths.mean()
+            math.sqrt(float(np.square(residuals).sum()) / (n - 1) / n) / lengths.mean()
         )
         stderr_downtime = float(downtime.std(ddof=1) / math.sqrt(n))
     else:
@@ -430,9 +451,11 @@ def empirical_first_passage_cdf(
     points = np.unique(grid_arr)
     counts_leq = np.zeros(len(grid), dtype=np.int64)
     for rng, size in _blocks(config):
+        brackets = [[] for _ in model.components]
         cross, _ = _advance(
-            model, np.zeros((model.n, size)), values, rng, 0.0, horizon, None, points
+            model, np.zeros((model.n, size)), values, rng, 0.0, horizon, np.arange(size), brackets
         )
+        _resolve(model, values, rng, cross, brackets, None, points)
         counts_leq += np.searchsorted(np.sort(cross), grid_arr, side="right")
     return [
         (t, c / config.replications) for t, c in zip(grid, counts_leq.tolist())

@@ -1,5 +1,6 @@
 """Tests for the path-wise Monte Carlo engine."""
 
+import hashlib
 import math
 import statistics
 from pathlib import Path
@@ -97,22 +98,20 @@ class TestSimulateCycle:
             simulate_many(model, policy, config)
 
     def test_frozen_draws(self):
-        # values at 17 digits on a shock-heavy system where cycles span
+        # values at full precision on a shock-heavy system where cycles span
         # several inspections and each soft failure takes up to ten
         # bisection rounds: any change in the order or number of draws
         # moves them
-        base = random_system(np.random.default_rng(2024), 3)
-        model = SystemModel(components=base.components, lam=0.5)
-        policy = Policy(tau=2.0, h2=tuple(0.9 * c.h1 for c in model.components))
+        model, policy = shock_heavy_system()
         outcomes = simulate_many(model, policy, SimulationConfig(replications=3000, seed=5))
         downtime = np.mean([o.downtime for o in outcomes])
         inspections = np.mean([o.inspections for o in outcomes])
-        assert downtime == pytest.approx(0.55334171345962357, rel=1e-15)
-        assert inspections == pytest.approx(3.603, rel=1e-15)
+        assert downtime == pytest.approx(0.5389613542329715, rel=1e-15)
+        assert inspections == pytest.approx(3.609, rel=1e-15)
         assert outcomes[:3] == [
-            (4, 8.0, 0.0, True, None, "none"),
-            (5, 10.0, 0.38185202151671049, False, 9.6181479784832895, "soft"),
-            (2, 4.0, 0.65355926020798405, False, 3.346440739792016, "soft"),
+            (3, 6.0, 1.70703125, False, 4.29296875, "soft"),
+            (5, 10.0, 0.1517583808790306, False, 9.84824161912097, "soft"),
+            (6, 12.0, 0.25825767078410955, False, 11.74174232921589, "soft"),
         ]
 
     def test_partial_final_block(self, model):
@@ -126,6 +125,90 @@ class TestSimulateCycle:
         last = longer[-1]
         assert last.cycle_length == last.inspections * policy.tau
         assert 0.0 <= last.downtime < policy.tau
+
+
+def shock_heavy_system():
+    """Three components under lam = 0.5 with h2 = 0.9 h1 and tau = 2: cycles
+    span several inspections and many shock stretches."""
+    base = random_system(np.random.default_rng(2024), 3)
+    model = SystemModel(components=base.components, lam=0.5)
+    return model, Policy(tau=2.0, h2=tuple(0.9 * c.h1 for c in model.components))
+
+
+class TestBlockResolution:
+    """A block's paths advance first; its crossings are resolved after."""
+
+    class MeanBridge:
+        """A substream whose beta draws are their means a / (a + b): the
+        path draws then come in the same order whenever the bridge draws
+        are made."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def beta(self, a, b):
+            return a / (a + b)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    def test_mean_bridges_give_frozen_cycles_and_curves(self, monkeypatch):
+        # the digest was taken from the engine that bisected each stretch
+        # as soon as it was drawn: deferring the bisection to the end of
+        # the block moves only the bridge draws
+        substream = simulator._substream
+        monkeypatch.setattr(simulator, "_substream",
+                            lambda *key: self.MeanBridge(substream(*key)))
+        model, policy = shock_heavy_system()
+        table2 = parse_config(str(CONFIG_DIR / "table2_tau24.json"))
+        digest = hashlib.sha256()
+        for system, pol, seed, grid in (
+            (model, policy, 5, np.linspace(0.0, 20.0, 101)),
+            (table2.system, table2.policy, 1, np.linspace(0.0, 0.04, 101)),
+        ):
+            config = SimulationConfig(replications=20_000, seed=seed)
+            digest.update(repr(simulate_many(system, pol, config)).encode())
+            config = SimulationConfig(replications=20_000, seed=7)
+            curve = empirical_first_passage_cdf(system, system.h1_vector, config, grid)
+            digest.update(repr(curve).encode())
+        assert digest.hexdigest() == (
+            "1b51ecd0c283c3e8e87d9e1e13735eee3362ccea15632dbae84f0d7438c60fe4"
+        )
+
+    def test_one_bisection_per_component_and_block(self, monkeypatch):
+        # per block: _bisect calls, and the most stretches whose brackets
+        # one component's list gathered
+        blocks = []
+        substream, bisect, resolve = simulator._substream, simulator._bisect, simulator._resolve
+
+        def new_block(*key):
+            blocks.append([0, 0])
+            return substream(*key)
+
+        def counted(*args):
+            blocks[-1][0] += 1
+            return bisect(*args)
+
+        def batched(model, limits, rng, fail, brackets, *rest):
+            blocks[-1][1] = max(map(len, brackets))
+            return resolve(model, limits, rng, fail, brackets, *rest)
+
+        monkeypatch.setattr(simulator, "_substream", new_block)
+        monkeypatch.setattr(simulator, "_bisect", counted)
+        monkeypatch.setattr(simulator, "_resolve", batched)
+        model, policy = shock_heavy_system()
+        config = SimulationConfig(replications=_BLOCK + 2000, seed=3)
+        grid = np.linspace(0.0, 20.0, 41)
+        for run in (lambda: simulate_many(model, policy, config),
+                    lambda: empirical_first_passage_cdf(model, model.h1_vector, config, grid)):
+            blocks.clear()
+            run()
+            assert len(blocks) == 2
+            for bisections, stretches in blocks:
+                assert 0 < bisections <= model.n
+                # the engine that bisected each stretch as it went made one
+                # call per component and stretch
+                assert stretches > 10
 
 
 def lethal_shock_model(lam):
