@@ -2,8 +2,10 @@
 
 The CLI is a pure shell over the library. Every number in a report is the
 corresponding library result, serialized at 12 significant digits; curve
-files carry full-precision values. Reports are deterministic given the
-config and seed, up to the wall-clock duration field.
+files carry full-precision values. Reports take one .12g format call per
+number, in the bytes of json.dumps(indent=2) with each float rounded to
+float(f"{v:.12g}"), and nan and infinities as strings. Reports are
+deterministic given the config and seed, up to the wall-clock duration field.
 
 Exit codes: 0 success, 2 config or validation error, 3 computation error
 (truncation, tail, or horizon caps, failed quadrature, failed starts),
@@ -195,24 +197,39 @@ def parse_config(path: str) -> RunConfig:
     )
 
 
-def _round12(value):
-    """Serialize floats at 12 significant digits, keeping them JSON-safe."""
+_G12 = "{:.12g}".format
+
+
+def _numbers(values) -> list[str]:
+    """Floats as a report writes them: repr(float(f"{v:.12g}")), with nan and
+    the infinities as strings. A positional .12g string already has repr's
+    digits and lacks at most its ".0"; an exponent form goes through repr,
+    which writes 1e12 up to 1e16 positionally."""
+    return [s if "." in s and "e" not in s else _odd(s) for s in map(_G12, values)]
+
+
+def _odd(s: str) -> str:
+    if "n" in s:  # nan, inf, -inf
+        return f'"{s}"'
+    return repr(float(s)) if "e" in s else s + ".0"
+
+
+def _json(value, indent: str = "") -> str:
+    """value as json.dumps(value, indent=2) writes it, with tuples as lists,
+    numpy scalars as Python's, and each float as _numbers writes it."""
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return float(f"{v:.12g}")
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+        items, ends = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        floats = {float}.issuperset(map(type, value))
+        items, ends = _numbers(value) if floats else [_json(v, inner) for v in value], "[]"
+    elif isinstance(value, (float, np.floating)):
+        return _numbers([float(value)])[0]
+    else:  # str, int, bool or None
+        return json.dumps(int(value) if isinstance(value, np.integer) else value)
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
 def _echo_config(config: RunConfig) -> dict:
@@ -257,11 +274,9 @@ def _estimate_dict(estimate) -> dict:
 
 
 def _write_csv(path: str, header: list[str], columns: list[list[float]]):
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    cells = [list(map(repr, map(float, column))) for column in columns]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _curve_path(out_path: str, suffix: str = "") -> str:
@@ -280,20 +295,14 @@ def cmd_reliability(config: RunConfig, t_max: float, steps: int, out_path: str) 
     h1 = config.system.h1_vector
     rows = [h1] if config.policy is None else [h1, config.policy.h2]
     curves = series_survival_over_times(config.system, grid, rows, config.truncation)
-    failure = 1.0 - curves[0]
-    header = ["t", "reliability", "failure_cdf"]
-    columns = [grid.tolist(), curves[0].tolist(), failure.tolist()]
     outputs = {
         "t": grid.tolist(),
         "reliability": curves[0].tolist(),
-        "failure_cdf": failure.tolist(),
+        "failure_cdf": (1.0 - curves[0]).tolist(),
     }
     if config.policy is not None:
-        detection = 1.0 - curves[1]
-        header.append("detection_cdf")
-        columns.append(detection.tolist())
-        outputs["detection_cdf"] = detection.tolist()
-    _write_csv(_curve_path(out_path), header, columns)
+        outputs["detection_cdf"] = (1.0 - curves[1]).tolist()
+    _write_csv(_curve_path(out_path), list(outputs), list(outputs.values()))
     outputs["curve_csv"] = _curve_path(out_path)
     return _report("reliability", config, outputs, [], started)
 
@@ -512,7 +521,7 @@ def _apply_seed_override(config: RunConfig, seed: int | None) -> RunConfig:
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(_round12(report), indent=2)
+    text = _json(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbmopt import cli
 from cbmopt.cli import _bound_warning, build_parser, main, parse_config
@@ -588,3 +590,121 @@ class TestExitCodes:
     def test_missing_config_file_is_exit_4(self, tmp_path):
         code = main(["evaluate", "--config", str(tmp_path / "nope.json")])
         assert code == 4
+
+
+def _round12(value):
+    """The earlier report rounding, kept as the reference for cli._json:
+    json.dumps(_round12(report), indent=2) gives a report's text."""
+    if isinstance(value, dict):
+        return {k: _round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round12(v) for v in value]
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return float(f"{v:.12g}")
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    return value
+
+
+def reference_json(value) -> str:
+    return json.dumps(_round12(value), indent=2)
+
+
+def reference_csv(header, columns) -> str:
+    """The earlier curve-file writer's text, one generator per row."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestReportWriter:
+    """Reports and curve files are the bytes the reference writers above
+    give for the same values."""
+
+    @staticmethod
+    def config(tmp_path):
+        payload = small_config()
+        payload["system"]["components"][0]["name"] = "Prüfstand-ä"
+        payload["system"]["components"][1]["name"] = "β"
+        payload["simulation"]["replications"] = 1000
+        return write_config(tmp_path, payload)
+
+    @pytest.mark.parametrize("argv, to_file, curve_files", [
+        (["reliability", "--t-max", "30", "--steps", "61"], True, 1),
+        (["reliability", "--config", str(CONFIG_DIR / "table3.json"),
+          "--t-max", "0.04", "--steps", "81"], True, 1),
+        (["evaluate"], True, 0),
+        (["evaluate"], False, 0),
+        (["optimize", "--fixed-tau", "6", "--multistart", "1"], True, 1),
+        (["optimize", "--multistart", "1"], False, 0),
+        (["simulate", "--reps", "500", "--fpt-t-max", "25", "--fpt-steps", "26"], True, 1),
+        (["simulate", "--reps", "500", "--fpt-t-max", "25", "--fpt-steps", "26"], False, 0),
+        (["simulate", "--reps", "1"], False, 0),
+    ], ids=[
+        "reliability-policy", "reliability-no-policy", "evaluate-out", "evaluate-stdout",
+        "optimize-trace", "optimize-stdout", "simulate-fpt-out", "simulate-fpt-stdout",
+        "simulate-one-rep-stdout",
+    ])
+    def test_every_command_writes_the_reference_bytes(
+        self, tmp_path, capsys, monkeypatch, argv, to_file, curve_files
+    ):
+        seen = {"_emit": [], "_write_csv": []}
+        for name, calls in seen.items():
+            def spy(*args, _original=getattr(cli, name), _calls=calls):
+                _calls.append(args)
+                return _original(*args)
+            monkeypatch.setattr(cli, name, spy)
+        out = tmp_path / "report.json"
+        flags = [] if "--config" in argv else ["--config", self.config(tmp_path)]
+        assert main([*argv, *flags, *(["--out", str(out)] if to_file else [])]) == 0
+        ((report, _),) = seen["_emit"]
+        written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert written == (reference_json(report) + "\n").encode()
+        assert len(seen["_write_csv"]) == curve_files
+        for path, header, columns in seen["_write_csv"]:
+            assert Path(path).read_bytes() == reference_csv(header, columns).encode()
+
+    def test_values_of_every_kind(self):
+        value = {
+            "warnings": [],
+            "empty": {},
+            "nested": [[], {}, [[0.1, -0.0]], {"a": []}],
+            "ints": [0, -3, 2**70, np.int64(-7), np.uint8(200)],
+            "scalars": [np.float64(0.1), np.float32(0.1), np.float64("nan"), np.float16(-np.inf)],
+            "flags": [True, False, np.int32(1)],
+            "none": None,
+            "names": ["Prüfstand-ä", "β", 'quote " and \\ back', "tab\tnewline\n"],
+            "h2": (0.0004637, 0.0004204),
+            "mixed": [1.0, np.float64(2.5), 3, None, "x", float("inf"), (1e-7, 2)],
+            "number": 1e12,
+            "Prüfstand-ä": -float("inf"),
+        }
+        assert cli._json(value) == reference_json(value)
+        assert cli._json([]) == "[]" and cli._json({}) == "{}"
+
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.floats(min_value=1e-5, max_value=1e-4),
+        st.floats(min_value=-1e17, max_value=-1e11),
+        st.floats(min_value=1e11, max_value=1e17),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+        st.integers(min_value=-(2**63), max_value=2**63).map(float),
+    ), max_size=8))
+    @example([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.225073858507201e-308])
+    @example([1e-5, 9.99999999999995e-05, 0.0001, 999999999999.5, 1e12, 1e15, 1e16, 123456789012.0])
+    @settings(max_examples=500, deadline=None)
+    def test_number_formatter_over_all_floats(self, values):
+        # a list of floats takes _numbers' one-pass path, a lone float the
+        # scalar one, and a float among other values each element's own
+        assert cli._json(values) == reference_json(values)
+        for v in values:
+            assert cli._json(v) == reference_json(v)
+        assert cli._json([*values, None]) == reference_json([*values, None])

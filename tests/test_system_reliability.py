@@ -242,10 +242,14 @@ class TestFirstPassageCdfs:
 
 
 def law_error(law: FailureLaw, model: SystemModel, trunc=None) -> float:
-    """Largest |law - direct pass| at uniform times over the law's reach
-    (1.2 horizons where F_f = 1 beyond the horizon, else up to the law's
-    end) and at times log-spread down to 1e-12 of it."""
-    reach = 1.2 * law.horizon if law.complete else law.horizon * (1.0 - 2.0**-20)
+    """Largest |law - direct pass| at uniform times up to the law's horizon
+    (just short of an incomplete law's end) and at times log-spread down to
+    1e-12 of it. A complete law must read exactly 1 from its horizon to 1.2
+    horizons: the build has shown S(T) < 1e-17 there, and a direct pass past
+    T can need more shock or mixture terms than its cap allows."""
+    if law.complete:
+        assert np.all(law(np.linspace(law.horizon, 1.2 * law.horizon, 49)) == 1.0)
+    reach = law.horizon if law.complete else law.horizon * (1.0 - 2.0**-20)
     grids = [np.linspace(0.0, reach, 241), reach * np.logspace(-12.0, 0.0, 241)]
     return max(
         float(np.abs(law(t) - (1.0 - series_survival_over_times(model, t, model.h1_vector, trunc))).max())
@@ -409,4 +413,8 @@ def test_failure_law_at_extreme_parameters(p, fast_rate, wear_is_slow, wear_shap
     beta, y_beta = (p * fast_rate, fast_rate) if wear_is_slow else (fast_rate, p * fast_rate)
     c = ComponentParams("x", 1.0, 1.5, wear_shape, beta, jump_shape, y_beta, 1.0, 0.3)
     model = SystemModel(components=(c,), lam=lam)
-    assert law_error(FailureLaw(model, DEFAULT_TRUNCATION), model) <= 1e-13
+    law = FailureLaw(model, DEFAULT_TRUNCATION)
+    if law.complete:
+        # where law_error asks the law to read exactly 1
+        assert series_survival_over_times(model, [law.horizon], model.h1_vector)[0] < 1e-17
+    assert law_error(law, model) <= 1e-13
