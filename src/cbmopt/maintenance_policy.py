@@ -44,8 +44,11 @@ __all__ = [
     "cost_rate",
 ]
 
-# the most inspection epochs one survival pass of a ladder takes
+# a ladder's survival pass takes up to _BATCH epochs; one that the wear-only
+# bound has not ended by then grows toward that end while its epochs times
+# the shock terms at its last epoch stay within _PASS_CELLS
 _BATCH = 64
+_PASS_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -106,27 +109,53 @@ class SeriesTailConfig:
 DEFAULT_TAIL = SeriesTailConfig()
 
 
-def _next_batch(model: SystemModel, h2, tau: float, k: int, trunc, tail: SeriesTailConfig):
-    """The epochs of a ladder's survival pass after its k-th: the next
-    _BATCH, cut at the first where the wear-only bound prod_i
-    P(wear_i(j*tau) <= h2_i) falls below the tail cutoff, by which the
-    ladder surely ends because degradation is at least the wear; then
-    halved while a pass could not reach the last one within the shock-count
-    series' term cap, which only a ladder still open there needs to.
+def _next_batch(
+    model: SystemModel, h2, tau: float, k: int, trunc, tail: SeriesTailConfig, grow: bool
+):
+    """The epochs of a ladder's survival pass after its k-th.
+
+    The pass takes the next _BATCH epochs, cut at the first where the
+    wear-only bound prod_i P(wear_i(j*tau) <= h2_i) falls below the tail
+    cutoff, by which the ladder surely ends because degradation is at least
+    the wear; it is halved while a pass could not reach its last epoch
+    within the shock-count series' term cap, which only a ladder still open
+    there needs to. Only a full block that the bound has not ended grows:
+    it doubles toward the bound's end while its epochs times the shock
+    terms at its last epoch stay within _PASS_CELLS, and a step whose
+    shock series cannot reach its end stops the growth.
     """
-    epochs = tau * np.arange(k + 1, min(k + _BATCH, tail.k_max_cap) + 1)
-    shapes = np.array([[c.alpha] for c in model.components]) * epochs
-    levels = np.array([[c.beta * h] for c, h in zip(model.components, h2)])
-    # a negligible wear shape is the point mass at zero, below any level
-    wear = np.where(negligible_shape(shapes), 1.0, special.gammainc(shapes, levels))
-    below = np.flatnonzero(wear.prod(axis=0) < tail.k_tail_eps)
-    epochs = epochs[: below[0] + 1] if below.size else epochs
-    while epochs.size > 1:
+
+    def wear_end(epochs):  # the index of the first epoch past the bound, or None
+        shapes = alphas * epochs
+        # a negligible wear shape is the point mass at zero, below any level
+        wear = np.where(negligible_shape(shapes), 1.0, special.gammainc(shapes, levels))
+        below = np.flatnonzero(wear.prod(axis=0) < tail.k_tail_eps)
+        return int(below[0]) if below.size else None
+
+    def shock_terms(t):  # the series' terms at time t, or None past its cap
         try:
-            poisson_weights(model.lam * float(epochs[-1]), trunc)
-            return epochs
+            return len(poisson_weights(model.lam * float(t), trunc))
         except TruncationCapError:
-            epochs = epochs[: epochs.size // 2]
+            return None
+
+    alphas = np.array([[c.alpha] for c in model.components])
+    levels = np.array([[c.beta * h] for c, h in zip(model.components, h2)])
+    epochs = tau * np.arange(k + 1, min(k + _BATCH, tail.k_max_cap) + 1)
+    end = wear_end(epochs)
+    if end is not None:
+        epochs = epochs[: end + 1]
+    while epochs.size > 1 and shock_terms(epochs[-1]) is None:
+        epochs = epochs[: epochs.size // 2]
+    while grow and end is None and epochs.size >= _BATCH:
+        n = epochs.size
+        wider = tau * np.arange(k + 1, min(k + 2 * n, tail.k_max_cap) + 1)
+        end = wear_end(wider[n:])
+        if end is not None:
+            wider = wider[: n + end + 1]
+        terms = shock_terms(wider[-1])
+        if wider.size == n or terms is None or wider.size * terms > _PASS_CELLS:
+            break
+        epochs = wider
     return epochs
 
 
@@ -138,12 +167,17 @@ def _ladder_passes(model: SystemModel, policy: Policy, trunc, tail: SeriesTailCo
     Each pass takes the epochs of _next_batch at the levels h2 alone: the
     generator yields the pass's times and the levels, and is sent back
     1 - survival at those times. So a ladder of up to _BATCH epochs is one
-    pass unless the term cap halves it, and no pass asks for an epoch past
-    the wear-only bound's end. Returns the ladder. The failure-time CDF at
-    the same epochs comes from the model's failure law.
+    pass unless the term cap halves it, a longer one grows its passes
+    toward the wear-only bound's end within the cell budget, and no pass
+    asks for an epoch past that end. A TruncationCapError thrown in for a
+    pass longer than _BATCH, which the mixture series could not reach,
+    makes the generator ask for its first _BATCH epochs instead, and keep
+    to that block for the rest of the ladder. Returns the ladder. The
+    failure-time CDF at the same epochs comes from the model's failure law.
     """
     h2 = as_thresholds(model, policy.h2)
     ladder = [0.0]
+    grow = True
     while True:
         k = len(ladder) - 1
         if k + 1 > tail.k_max_cap:
@@ -151,11 +185,17 @@ def _ladder_passes(model: SystemModel, policy: Policy, trunc, tail: SeriesTailCo
                 f"detection not reached after {tail.k_max_cap} inspections "
                 f"(tail eps {tail.k_tail_eps}); the policy may never trigger"
             )
-        cdfs = yield _next_batch(model, h2, policy.tau, k, trunc, tail), h2
-        for f_k in cdfs:
-            ladder.append(float(f_k))
-            if 1.0 - f_k < tail.k_tail_eps:
-                return ladder
+        epochs = _next_batch(model, h2, policy.tau, k, trunc, tail, grow)
+        try:
+            cdfs = yield epochs, h2
+        except TruncationCapError:
+            grow = False
+            cdfs = yield epochs[:_BATCH], h2
+        ends = np.flatnonzero(1.0 - cdfs < tail.k_tail_eps)
+        if ends.size:
+            ladder.extend(cdfs[: ends[0] + 1].tolist())
+            return ladder
+        ladder.extend(cdfs.tolist())
 
 
 def _cdf_ladders(
@@ -167,15 +207,20 @@ def _cdf_ladders(
     """The ladders of _ladder_passes for every policy, built in rounds: each
     round is one survival pass over the next batch of every ladder still
     open. Returns per policy its ladder or the CbmError that its own ladder
-    raised; an error of a pass itself propagates.
+    raised; an error of a pass itself propagates, but a lone ladder's pass
+    longer than _BATCH that hits a series cap is thrown into its generator,
+    which asks for a _BATCH-epoch pass instead.
     """
     tail = tail or DEFAULT_TAIL
     outcomes: list = [None] * len(policies)
     asks = {}  # policy index -> its generator and the (times, rows) it asks for
 
-    def advance(i, passes, cdfs):
+    def advance(i, passes, reply):  # reply: the pass's CDFs, or its cap error
         try:
-            asks[i] = passes, passes.send(cdfs)
+            if isinstance(reply, TruncationCapError):
+                asks[i] = passes, passes.throw(reply)
+            else:
+                asks[i] = passes, passes.send(reply)
         except StopIteration as done:
             outcomes[i] = done.value
         except CbmError as error:
@@ -188,7 +233,13 @@ def _cdf_ladders(
         if len(round_) == 1:
             # a lone ladder's pass keeps its own form, which costs less than
             # the stacked form below
-            cdfs = [1.0 - series_survival_over_times(model, *round_[0][2], trunc)]
+            _, _, (epochs, h2) = round_[0]
+            try:
+                cdfs = [1.0 - series_survival_over_times(model, epochs, h2, trunc)]
+            except TruncationCapError as error:
+                if epochs.size <= _BATCH:
+                    raise
+                cdfs = [error]
         else:
             # one threshold row per time, and one segment per ladder, so that
             # each gets what a pass of its own gives
@@ -365,7 +416,9 @@ def cost_rate(
     """Long-run maintenance cost per hour with its per-cycle breakdown.
 
     E[N_I] and E[rho] share one ladder of detection-CDF values, built in
-    survival passes at the levels h2 alone. Every failure-CDF value and
+    survival passes at the levels h2 alone: a ladder of up to 64 epochs in
+    one, and a longer one in passes grown toward the wear-only bound's end
+    within a budget of cells (see _next_batch). Every failure-CDF value and
     downtime area comes from the model's failure law (see
     system_reliability.failure_law), which the first call on a model
     builds and later calls reuse; so a call on a model whose law is built

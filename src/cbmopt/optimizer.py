@@ -1,8 +1,9 @@
 """Joint minimization of the cost rate over the inspection interval and
 on-condition thresholds.
 
-The objective comes out of truncated series and quadrature, so analytic
-gradients are unavailable and finite differences would be noisy. A
+The objective comes out of truncated series and a piecewise-Chebyshev
+failure law, so analytic gradients are unavailable and finite differences
+would be noisy. A
 projected Nelder-Mead simplex with seeded Latin-hypercube multistart does
 the work instead: every candidate is clipped into the feasible box before
 evaluation, accepted objective values never increase within a start, and

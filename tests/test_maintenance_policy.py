@@ -18,15 +18,18 @@ from scipy import integrate, special
 
 from cbmopt import maintenance_policy, system_reliability
 from cbmopt.errors import CbmError, DomainError, IntegrationError, TailCapError, TruncationCapError
-from cbmopt.failure_model import ComponentParams, SystemModel, TruncationConfig
+from cbmopt.failure_model import ComponentParams, SystemModel, TruncationConfig, poisson_weights
 from cbmopt.maintenance_policy import (
     CostBreakdown,
     CostParams,
     Policy,
     DEFAULT_TAIL,
     SeriesTailConfig,
+    _BATCH,
+    _PASS_CELLS,
     _cdf_ladder,
     _ladder_passes,
+    _next_batch,
     cost_rate,
     expected_downtime,
     expected_inspections,
@@ -41,6 +44,19 @@ from conftest import count_passes, random_system, table2_system, table3_system
 def model():
     rng = np.random.default_rng(2718)
     return random_system(rng, 3)
+
+
+def case_system(case):
+    """Tables 2 and 3, seed s's random three-component system, or that
+    system at a shock rate of its own, written "s@rate"."""
+    if case == "table2":
+        return table2_system()
+    if case == "table3":
+        return table3_system()
+    if isinstance(case, str):
+        seed, lam = case.split("@")
+        return dataclasses.replace(random_system(np.random.default_rng(int(seed)), 3), lam=float(lam))
+    return random_system(np.random.default_rng(case), 3)
 
 
 def tau_at_quantile(model, q):
@@ -354,45 +370,108 @@ class TestCostRate:
 class TestLadderPasses:
     @pytest.mark.parametrize(
         "case, tau, ladder_passes",
-        [(3, 1.0, 1), (1, 5.0, 1), (3, 5.0, 1), ("table2", 0.0082, 2)],
+        [
+            (3, 1.0, 1), (1, 5.0, 1), (3, 5.0, 1), ("table2", 0.0082, 1), ("table2", 0.001, 1),
+            ("1@1", 0.01, 9),
+        ],
     )
     def test_warm_call_makes_only_its_ladders_passes(self, monkeypatch, case, tau, ladder_passes):
-        # the random systems' ladders (3 to 12 epochs) fit one batch, table
-        # 2's 103 epochs take two; once the model's failure law is built the
+        # the random systems' ladders (3 to 12 epochs) fit the first block;
+        # table 2's 101 and 823 epochs (h2 at half of h1) are one pass each,
+        # grown to the wear-only bound's end; at 1 shock an hour seed 1's
+        # 1,308 epochs take 9 passes of 128 and 256 epochs, which the cell
+        # budget keeps short; once the model's failure law is built the
         # downtime integral makes no pass
+        system = case_system(case)
         if case == "table2":
-            system, costs = table2_system(), CostParams(1.0, 20000.0, 100.0)
+            costs, frac = CostParams(1.0, 20000.0, 100.0), 0.5
         else:
-            system = random_system(np.random.default_rng(case), 3)
-            costs = CostParams(1.0, 300.0, 80.0)
-        policy = Policy(tau=tau, h2=tuple(0.6 * c.h1 for c in system.components))
+            costs, frac = CostParams(1.0, 300.0, 80.0), 0.6
+        policy = Policy(tau=tau, h2=tuple(frac * c.h1 for c in system.components))
         asked, ladder = lone_ladder(system, policy)
-        assert len(asked) == ladder_passes == math.ceil((len(ladder) - 1) / 64)
+        assert len(asked) == ladder_passes <= math.ceil((len(ladder) - 1) / _BATCH)
         failure_law(system)
         passes = count_passes(monkeypatch)
         cost_rate(system, policy, costs)
         assert len(passes) == ladder_passes
 
-    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4, 5, 6, 7, 8, "1@1", "2@0.2"])
     def test_passes_end_by_the_wear_only_bound(self, case):
-        # a ladder of up to 64 epochs is one pass, and no pass asks for an
-        # epoch past the first where the wear-only bound is below the cutoff
-        if case == "table2":
-            system = table2_system()
-        elif case == "table3":
-            system = table3_system()
-        else:
-            system = random_system(np.random.default_rng(case), 3)
+        # no pass asks for an epoch past the first where the wear-only bound
+        # is below the cutoff, and a ladder of up to 64 epochs is one pass;
+        # a longer pass is a doubling of the first block or ends at the
+        # bound's end, within the cell budget, so no ladder takes more
+        # passes than 64-epoch blocks would
+        system = case_system(case)
         for tau in np.geomspace(1e-3, 1e2, 6):
             for frac in (0.05, 0.3, 0.6, 0.95):
                 h2 = tuple(frac * c.h1 for c in system.components)
                 asked, ladder = lone_ladder(system, Policy(tau=tau, h2=h2))
-                end = wear_bound_end(system, h2, tau)
-                assert len(ladder) - 1 <= end
-                assert all(epochs[-1] <= end * tau for epochs in asked)
-                assert [len(epochs) for epochs in asked[:-1]] == [64] * (len(asked) - 1)
-                if len(ladder) - 1 <= 64:
+                end, epochs_in_ladder = wear_bound_end(system, h2, tau), len(ladder) - 1
+                assert epochs_in_ladder <= end
+                assert len(asked) <= math.ceil(epochs_in_ladder / _BATCH)
+                k = 0
+                for epochs in asked:
+                    n = len(epochs)
+                    assert epochs[-1] <= end * tau
+                    if n > _BATCH:
+                        terms = len(poisson_weights(system.lam * epochs[-1]))
+                        assert n * terms <= _PASS_CELLS
+                        assert k + n == end or n in [_BATCH << j for j in range(1, 16)]
+                    k += n
+                assert all(len(epochs) >= _BATCH for epochs in asked[:-1])
+                if epochs_in_ladder <= _BATCH:
                     assert len(asked) == 1
+
+    @pytest.mark.parametrize("case, tau, frac", [("table2", 0.001, 0.5), ("1@1", 0.01, 0.6)])
+    def test_ladder_matches_single_epoch_passes(self, case, tau, frac):
+        # a pass grown to 823 epochs, or split by the cell budget, gives each
+        # epoch what a pass at that epoch alone gives, to rounding; the
+        # reference passes take the shock-count tail at 1e-14, since at
+        # the default 1e-12 a pass at one small time drops more mass than
+        # a pass that reaches later times (1.4e-13 at seed 1's first epoch)
+        system = case_system(case)
+        h2 = tuple(frac * c.h1 for c in system.components)
+        asked, ladder = lone_ladder(system, Policy(tau=tau, h2=h2))
+        assert max(len(epochs) for epochs in asked) > _BATCH
+        epochs = np.concatenate(asked)[: len(ladder) - 1]
+        trunc = TruncationConfig(poisson_tail_eps=1e-14)
+        direct = [1.0 - series_survival_over_times(system, [t], h2, trunc)[0] for t in epochs]
+        assert np.abs(np.array(ladder[1:]) - direct).max() <= 1e-13
+
+    def test_growth_stops_where_the_shock_count_series_ends(self):
+        # a first block the bound has not ended grows to 256 epochs at the
+        # default cap; with the cap just past the block's own terms, the
+        # doubled pass's shock series cannot end, so the pass stays at 64
+        system = case_system("1@1")
+        tau, h2 = 0.01, tuple(0.6 * h for h in system.h1_vector)
+        assert _next_batch(system, h2, tau, 0, None, DEFAULT_TAIL, True).size == 4 * _BATCH
+        trunc = TruncationConfig(m_max_cap=len(poisson_weights(system.lam * _BATCH * tau)) - 1)
+        epochs = _next_batch(system, h2, tau, 0, trunc, DEFAULT_TAIL, True)
+        assert epochs.size == _BATCH and epochs[-1] == _BATCH * tau
+
+    def test_pass_past_a_series_cap_falls_back_to_the_first_block(self, monkeypatch):
+        # a pass longer than 64 epochs that raises a series cap is made
+        # again as the first 64; the ladder then keeps to 64-epoch passes,
+        # so it gives what passes that never grow give
+        system = table2_system()
+        policy = Policy(tau=0.001, h2=tuple(0.5 * h for h in system.h1_vector))
+        costs = CostParams(1.0, 20000.0, 100.0)
+        failure_law(system)
+        monkeypatch.setattr(maintenance_policy, "_PASS_CELLS", 0)
+        unextended = cost_rate(system, policy, costs)
+        monkeypatch.setattr(maintenance_policy, "_PASS_CELLS", _PASS_CELLS)
+        survival, sizes = maintenance_policy.series_survival_over_times, []
+
+        def capped(model, times, *args, **kwargs):
+            sizes.append(len(times))
+            if len(times) > _BATCH:
+                raise TruncationCapError("gamma-sum mixture needs more than 10000 terms")
+            return survival(model, times, *args, **kwargs)
+
+        monkeypatch.setattr(maintenance_policy, "series_survival_over_times", capped)
+        assert cost_rate(system, policy, costs) == unextended
+        assert sizes == [823] + [64] * 12 + [55]
 
     @pytest.mark.parametrize(
         "case, tau, most",
@@ -456,14 +535,15 @@ class TestLadderPasses:
             # a 12-epoch ladder: one pass
             ((3, 3), 1.0,
              ("0x1.68be490b67ee5p+1", "0x1.21c30577784e8p-4", "0x1.27544facd10f7p+5")),
-            # table 2, h2 at half of h1: a 206-epoch ladder
+            # table 2, h2 at half of h1: a 206-epoch ladder in one pass
+            # grown past the first block
             ("table2", 0.004,
              ("0x1.5bb7f99c2f8aep+3", "0x1.86e5e0a360200p-14", "0x1.4433075fc0dbdp+11")),
             # the failure CDF rises near 0, on the law's graded panels
             ("table2", 120.0,
              ("0x1.0000000000000p+0", "0x1.dfd199e35bdedp+6", "0x1.386528b88dadap+14")),
-            # an 823-epoch ladder: downtime in four chunks of up to 256
-            # intervals
+            # an 823-epoch ladder in one pass, and 823 intervals cut at the
+            # law's panel edges
             ("table2", 0.001,
              ("0x1.4f7a92dc2c995p+5", "0x1.82f2531fb9980p-18", "0x1.a76cd7f766f9dp+11")),
         ],
@@ -587,19 +667,27 @@ class TestStackedCostRate:
             return
         for field in ("e_ni", "e_rho", "cr"):
             a, b = getattr(stacked, field), getattr(single, field)
-            assert abs(a - b) <= 1e-15 * abs(b), (field, a.hex(), b.hex())
+            assert a == b, (field, a.hex(), b.hex())
 
-    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["table2", "table3", 1, 2, 3, 4, "table2-long", "1@1"])
     def test_entries_match_single_calls(self, case):
+        # "table2-long" stacks ladders of 111 to 812 epochs, each one pass
+        # grown past the first block; at 1 shock an hour seed 1's ladders
+        # at short taus take passes that the cell budget splits
         rng = np.random.default_rng(17)
-        if case in ("table2", "table3"):
-            system = table2_system() if case == "table2" else table3_system()
-            costs, taus = CostParams(1.0, 20000.0, 100.0), (1e-3, 1e4)
-            # a 50-inspection cap fails the policies of the shortest taus
-            tail = SeriesTailConfig(k_max_cap=50)
+        if case in ("table2", "table3", "table2-long"):
+            system = case_system(case.removesuffix("-long"))
+            costs = CostParams(1.0, 20000.0, 100.0)
+            if case == "table2-long":
+                taus, tail = (1e-3, 1e-2), None
+            else:
+                # a 50-inspection cap fails the policies of the shortest taus
+                taus, tail = (1e-3, 1e4), SeriesTailConfig(k_max_cap=50)
         else:
-            system = random_system(np.random.default_rng(case), 3)
+            system = case_system(case)
             costs, taus, tail = CostParams(1.0, 300.0, 80.0), (0.3, 100.0), None
+            if case == "1@1":
+                taus = (0.01, 1.0)
         failed = []
         for size in range(2, 7):
             policies = [
@@ -609,7 +697,7 @@ class TestStackedCostRate:
                 )
                 for _ in range(size)
             ]
-            if case not in ("table2", "table3"):
+            if case not in ("table2", "table3", "table2-long"):
                 # a threshold vector of the wrong length fails its own ladder
                 policies.insert(size // 2, Policy(tau=1.0, h2=(0.0,)))
             stacked = cost_rate(system, policies, costs, tail=tail)
@@ -619,6 +707,8 @@ class TestStackedCostRate:
             failed += [type(entry) for entry in stacked if isinstance(entry, CbmError)]
         if case in ("table2", "table3"):
             assert failed and set(failed) == {TailCapError}
+        elif case == "table2-long":
+            assert failed == []
         else:
             assert failed == [DomainError] * 5
 
